@@ -29,7 +29,7 @@ from .geometry import (
     realize_abc_intervals,
     realize_pointbox_plane,
 )
-from .graphs import Graph, GraphError, equal_labeled, from_edge_list
+from .graphs import Graph, equal_labeled, from_edge_list
 from .intervals import (
     IntervalRep,
     check_sd_lemma,
@@ -475,8 +475,8 @@ def _run_one(task: tuple[str, int, dict]) -> dict:
     start = time.perf_counter()
     try:
         outputs, ok = _RUNNERS[name](params)
-    except GraphError as exc:
-        outputs, ok = {"error": str(exc)}, False
+    except Exception as exc:  # one instance's error must not end the campaign
+        outputs, ok = {"error_type": type(exc).__name__, "error": str(exc)}, False
     return {
         "index": index,
         "inputs": params,
@@ -492,6 +492,8 @@ def verify_campaign(
     """Run a named campaign; the report is deterministic for a fixed config."""
     cfg = cfg or CampaignConfig()
     plans = _plan(name, cfg)
+    if not plans:
+        raise ConfigError(f"campaign {name!r} has no instances under this config")
     tasks = [(name, idx, params) for idx, params in enumerate(plans)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -151,17 +151,19 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = CampaignConfig.from_json(_load_json(args.config)) if args.config else CampaignConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.trials is not None:
-        cfg.trials = args.trials
-    if args.sizes:
-        cfg.sizes = [int(x) for x in args.sizes.split(",")]
-    if args.output:
-        cfg.output = args.output
-    if args.format:
-        cfg.format = args.format
+    base = _load_json(args.config) if args.config else {}
+    if not isinstance(base, dict):
+        raise ConfigError("campaign config must be a JSON object")
+    overrides = {
+        "seed": args.seed,
+        "trials": args.trials,
+        "sizes": [int(x) for x in args.sizes.split(",")] if args.sizes else None,
+        "output": args.output,
+        "format": args.format,
+    }
+    cfg = CampaignConfig.from_json(
+        {**base, **{k: v for k, v in overrides.items() if v is not None}}
+    )
     report = verify_campaign(args.campaign, cfg, workers=args.workers)
     data = report.to_json()
     text = render_markdown(data) if cfg.format == "markdown" else json.dumps(

@@ -3,8 +3,11 @@
 All coordinates are integers over one global scale denominator, so every
 intersection test is pure integer comparison; boxes are closed, and touching
 counts as intersecting (consistent with the closed-interval convention).
-Each realization operation rebuilds the graph from its own geometry and
-raises if it does not match the target exactly.
+Box intersection graphs and point-in-box incidence graphs are built by the
+same per-axis sort-and-mask kernel as interval graphs
+(``intervals._overlap_rows``); a point is the degenerate box with
+``lo == hi`` on every axis. Each realization operation rebuilds the graph
+from its own geometry and raises if it does not match the target exactly.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, GraphError, equal_labeled, from_edge_list
-from .intervals import IntervalRep, graph_from_intervals
+from .graphs import Graph, GraphError, equal_labeled
+from .intervals import IntervalRep, _overlap_rows, graph_from_intervals
 from .parameters import check_abc_partition
 
 
@@ -83,35 +86,26 @@ def box_system_from_json(data: dict) -> BoxSystem:
     )
 
 
-def _boxes_intersect(b1, b2) -> bool:
-    return all(max(l1, l2) <= min(h1, h2) for (l1, h1), (l2, h2) in zip(b1, b2))
-
-
 def graph_from_boxes(bs: BoxSystem) -> Graph:
     """Intersection graph of the closed boxes, index-aligned."""
-    m = len(bs.boxes)
-    rows = [0] * m
-    for u in range(m):
-        for v in range(u + 1, m):
-            if _boxes_intersect(bs.boxes[u], bs.boxes[v]):
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return Graph(m, rows, dict(bs.labels) if bs.labels else None)
-
-
-def _point_in_box(pt, box) -> bool:
-    return all(lo <= c <= hi for c, (lo, hi) in zip(pt, box))
+    rows = _overlap_rows(bs.boxes, bs.boxes)
+    return Graph(
+        len(rows),
+        [row & ~(1 << u) for u, row in enumerate(rows)],
+        dict(bs.labels) if bs.labels else None,
+    )
 
 
 def incidence_graph(points: Sequence[tuple[int, int]], bs: BoxSystem) -> Graph:
     """Bipartite containment graph: point ids first, then box ids."""
+    for idx, pt in enumerate(points):
+        if len(pt) != bs.d:
+            raise GraphError(f"point {idx} has {len(pt)} coordinates, expected {bs.d}")
     np_ = len(points)
-    edges = []
-    for bi, box in enumerate(bs.boxes):
-        for pi, pt in enumerate(points):
-            if _point_in_box(pt, box):
-                edges.append((pi, np_ + bi))
-    return from_edge_list(np_ + len(bs.boxes), edges)
+    pt_boxes = [tuple((c, c) for c in pt) for pt in points]
+    pt_rows = _overlap_rows(pt_boxes, bs.boxes)
+    box_rows = _overlap_rows(bs.boxes, pt_boxes)
+    return Graph(np_ + len(box_rows), [row << np_ for row in pt_rows] + box_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -147,11 +147,26 @@ def graph_to_json(g: Graph) -> dict:
     return data
 
 
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GraphError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def graph_from_json(data: dict) -> Graph:
-    n = data["n"]
+    if not isinstance(data, dict):
+        raise GraphError("graph JSON must be an object with keys 'n' and 'edges'")
+    for key in ("n", "edges"):
+        if key not in data:
+            raise GraphError(f"graph JSON is missing key {key!r}")
+    n = _json_int(data["n"], "'n'")
+    if not isinstance(data["edges"], (list, tuple)):
+        raise GraphError("graph JSON 'edges' must be a list")
     rows = [0] * n
     for item in data["edges"]:
-        u, v = item
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise GraphError(f"edge {item!r} must be a pair of vertex ids")
+        u, v = (_json_int(x, "vertex id") for x in item)
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u},{v}) out of range 0..{n - 1}")
         if u == v:
@@ -162,6 +177,8 @@ def graph_from_json(data: dict) -> Graph:
         rows[v] |= 1 << u
     labels = None
     if data.get("labels"):
+        if not isinstance(data["labels"], dict):
+            raise GraphError("graph JSON 'labels' must be an object")
         labels = {int(k): v for k, v in data["labels"].items()}
         for v in labels:
             if not 0 <= v < n:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 
-from funbox import Graph
+from funbox import Graph, from_edge_list
 
 
 def adjacent(g: Graph, u: int, v: int) -> bool:
@@ -90,3 +90,47 @@ def naive_is_threshold(g: Graph) -> bool:
             ):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# intersection graphs by pairwise comparison (closed sides: touching meets)
+# ---------------------------------------------------------------------------
+
+def naive_graph_from_intervals(rep) -> Graph:
+    iv = rep.intervals
+    n = len(iv)
+    rows = [0] * n
+    for u in range(n):
+        lu, ru = iv[u]
+        for v in range(u + 1, n):
+            lv, rv = iv[v]
+            if max(lu, lv) <= min(ru, rv):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph(n, rows)
+
+
+def _boxes_intersect(b1, b2) -> bool:
+    return all(max(l1, l2) <= min(h1, h2) for (l1, h1), (l2, h2) in zip(b1, b2))
+
+
+def naive_graph_from_boxes(bs) -> Graph:
+    m = len(bs.boxes)
+    rows = [0] * m
+    for u in range(m):
+        for v in range(u + 1, m):
+            if _boxes_intersect(bs.boxes[u], bs.boxes[v]):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph(m, rows, dict(bs.labels) if bs.labels else None)
+
+
+def naive_incidence_graph(points, bs) -> Graph:
+    """Points first, then boxes; expects points with bs.d coordinates."""
+    np_ = len(points)
+    edges = []
+    for bi, box in enumerate(bs.boxes):
+        for pi, pt in enumerate(points):
+            if all(lo <= c <= hi for c, (lo, hi) in zip(pt, box)):
+                edges.append((pi, np_ + bi))
+    return from_edge_list(np_ + len(bs.boxes), edges)

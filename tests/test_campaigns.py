@@ -4,6 +4,7 @@ import json
 import pytest
 
 import funbox as fb
+from funbox import campaigns
 from funbox.campaigns import (
     CAMPAIGN_NAMES,
     CampaignConfig,
@@ -11,6 +12,8 @@ from funbox.campaigns import (
     render_markdown,
     verify_campaign,
 )
+from funbox.geometry import RealizationError
+from funbox.graphs import SizeLimitError
 from funbox.rng import SplitMix64
 
 
@@ -76,6 +79,29 @@ def test_unknown_campaign():
 def test_sizes_beyond_limits_rejected():
     with pytest.raises(ConfigError, match="fun_max_n"):
         verify_campaign("threshold-fun0", CampaignConfig(sizes=[13], trials=1))
+
+
+def test_empty_plan_rejected():
+    with pytest.raises(ConfigError, match="no instances"):
+        verify_campaign("hni", CampaignConfig(sizes=[0]))
+
+
+@pytest.mark.parametrize("exc_type", [SizeLimitError, RealizationError, AssertionError])
+def test_instance_error_is_recorded(monkeypatch, exc_type):
+    real = campaigns._RUNNERS["gk-sd"]
+
+    def flaky(params):
+        if params["k"] == 3:
+            raise exc_type("boom")
+        return real(params)
+
+    monkeypatch.setitem(campaigns._RUNNERS, "gk-sd", flaky)
+    report = verify_campaign("gk-sd", CampaignConfig(sizes=[2, 3]))
+    good, bad = report.instances
+    assert good["pass"] and "error" not in good["outputs"]
+    assert not bad["pass"]
+    assert bad["outputs"] == {"error_type": exc_type.__name__, "error": "boom"}
+    assert not report.ok and report.failed == 1
 
 
 def _strip_timing(report: dict) -> dict:

@@ -134,3 +134,53 @@ def test_argparse_usage_error_is_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["gen", "not-a-family"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "lemma-sd", "--trials", "0"],
+        ["verify", "hni", "--sizes", "0"],
+    ],
+)
+def test_verify_bad_config_is_2(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+
+
+def test_verify_config_file_must_be_object(tmp_path, capsys):
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text("[1, 2]")
+    code, _ = run_cli(capsys, "verify", "lemma-sd", "--config", str(cpath))
+    assert code == 2
+
+
+def test_verify_cli_overrides_config_file(tmp_path, capsys):
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(json.dumps({"seed": 3, "trials": 500}))
+    rpath = tmp_path / "r.json"
+    code, _ = run_cli(
+        capsys, "verify", "lemma-sd", "--config", str(cpath), "--trials", "2", "-o", str(rpath)
+    )
+    assert code == 0
+    report = json.loads(rpath.read_text())
+    assert report["config"]["seed"] == 3 and report["summary"]["total"] == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [[0, 1]],
+        {"edges": [[0, 1]]},
+        {"n": 2, "edges": [["0", "1"]]},
+        {"n": 2, "edges": [[0.0, 1]]},
+        {"n": True, "edges": []},
+    ],
+)
+def test_malformed_graph_json_is_2(tmp_path, capsys, payload):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(payload))
+    code = main(["compute", "fun-graph", "-i", str(gpath)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -83,6 +83,27 @@ def test_json_rejects_duplicate_edges():
         fb.graph_from_json({"n": 3, "edges": [[0, 1], [1, 0]]})
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        [[0, 1]],
+        {"edges": []},
+        {"n": 2},
+        {"n": True, "edges": []},
+        {"n": 2.0, "edges": []},
+        {"n": 2, "edges": [["0", "1"]]},
+        {"n": 2, "edges": [[0, 1.0]]},
+        {"n": 2, "edges": [[0, True]]},
+        {"n": 2, "edges": [[0, 1, 1]]},
+        {"n": 2, "edges": {"0": 1}},
+        {"n": 2, "edges": [], "labels": ["A:1"]},
+    ],
+)
+def test_json_rejects_malformed_input(data):
+    with pytest.raises(GraphError):
+        fb.graph_from_json(data)
+
+
 def test_graph_rejects_asymmetric_rows():
     with pytest.raises(GraphError):
         fb.Graph(2, [0b10, 0b00])
