@@ -38,6 +38,7 @@ from .intervals import (
     normalize,
 )
 from .parameters import (
+    _min_pair_sd,
     fun_graph,
     fun_vertex,
     fun_vertex_naive,
@@ -65,6 +66,10 @@ class ConfigError(ValueError):
     """Bad campaign name or configuration."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class CampaignConfig:
     seed: int = 1
@@ -83,16 +88,32 @@ class CampaignConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "CampaignConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("campaign config must be a JSON object")
         limits = data.get("limits", {})
-        return cls(
-            seed=data.get("seed", 1),
-            sizes=data.get("sizes"),
-            trials=data.get("trials"),
-            fun_max_n=limits.get("fun_max_n", 12),
-            sd_max_n=limits.get("sd_max_n", 14),
-            output=data.get("output"),
-            format=data.get("format", "json"),
-        )
+        if not isinstance(limits, dict):
+            raise ConfigError("config 'limits' must be an object")
+        values = {
+            "seed": data.get("seed", 1),
+            "sizes": data.get("sizes"),
+            "trials": data.get("trials"),
+            "fun_max_n": limits.get("fun_max_n", 12),
+            "sd_max_n": limits.get("sd_max_n", 14),
+            "output": data.get("output"),
+            "format": data.get("format", "json"),
+        }
+        for key in ("seed", "trials", "fun_max_n", "sd_max_n"):
+            value = values[key]
+            if not _is_int(value) and not (key == "trials" and value is None):
+                raise ConfigError(f"config {key!r} must be an integer, got {value!r}")
+        sizes = values["sizes"]
+        if sizes is not None and (
+            not isinstance(sizes, list) or not all(map(_is_int, sizes))
+        ):
+            raise ConfigError(f"config 'sizes' must be a list of integers, got {sizes!r}")
+        if not isinstance(values["output"], (str, type(None))):
+            raise ConfigError(f"config 'output' must be a string, got {values['output']!r}")
+        return cls(**values)
 
     def to_json(self) -> dict:
         return {
@@ -238,14 +259,7 @@ def _instance_thm_fun8(params: dict) -> tuple[dict, bool]:
 def _instance_gk_sd(params: dict) -> tuple[dict, bool]:
     k = params["k"]
     g, meta = g_k(k)
-    worst = None
-    for u in range(g.n):
-        ru = g.rows[u]
-        bu = 1 << u
-        for v in range(u + 1, g.n):
-            d = ((ru ^ g.rows[v]) & ~bu & ~(1 << v)).bit_count()
-            if worst is None or d < worst:
-                worst = d
+    worst = _min_pair_sd(g.rows, g.full_mask)[0]
     ok = worst >= k
     out = {"n": g.n, "min_sd": worst}
     if params.get("check_coordinates"):
@@ -414,6 +428,8 @@ def _plan(name: str, cfg: CampaignConfig) -> list[dict]:
         ]
     if name == "gk-sd":
         sizes = cfg.sizes or [2, 3, 4]
+        if min(sizes) < 2:
+            raise ConfigError(f"gk-sd needs every k >= 2, got {min(sizes)}")
         return [{"k": k, "check_coordinates": k <= 3} for k in sizes]
     if name == "hni":
         sizes = cfg.sizes or [4]

@@ -1,8 +1,9 @@
 """Command-line surface: generate, compute, witness, realize, verify, report.
 
 Exit codes: 0 success / all instances pass, 1 any verification failure,
-2 usage or configuration error. The FUNBOX_MAX_N environment variable
-overrides the exact-search size guards.
+2 usage or configuration error, malformed input, or an input over a size
+guard. The FUNBOX_MAX_N environment variable overrides the exact-search
+size guards.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .geometry import (
     realize_abc_unit_squares,
     realize_pointbox_plane,
 )
-from .graphs import GraphError, graph_from_json, graph_to_json
+from .graphs import GraphError, SizeLimitError, graph_from_json, graph_to_json
 from .intervals import (
     find_low_fun_witness,
     interval_rep_from_json,
@@ -266,7 +267,14 @@ def main(argv=None) -> int:
     except PremiseViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (GraphError, ConfigError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (
+        GraphError,
+        ConfigError,
+        SizeLimitError,
+        FileNotFoundError,
+        KeyError,
+        ValueError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .graphs import Graph, GraphError, from_edge_list
+from .graphs import Graph, GraphError, SizeLimitError, from_edge_list
 
 HYPERCUBE_MAX_DIM = 16
+HNI_MAX_VERTICES = 1 << HYPERCUBE_MAX_DIM
 
 
 @dataclass(frozen=True)
@@ -241,6 +242,16 @@ def point_box_incidence(n: int, i: int) -> tuple[Graph, ConstructionLabels]:
         raise GraphError("point_box_incidence needs n >= 1")
     if not 1 <= i <= n:
         raise GraphError(f"level must satisfy 1 <= i <= n, got {i}")
+    # n^i >= 2^i once n >= 2 (n = 1 forces i = 1), so a large i alone settles it
+    # before any huge power is formed
+    if (
+        i >= HNI_MAX_VERTICES.bit_length()
+        or n**i + i * n ** (i - 1) > HNI_MAX_VERTICES
+    ):
+        raise SizeLimitError(
+            f"H^n_i with n={n}, i={i} has n^i + i*n^(i-1) vertices, "
+            f"more than the limit {HNI_MAX_VERTICES}"
+        )
     p_count, b_count = n, 1
     edges = [(pt, 0) for pt in range(n)]  # (point, box) in level-local ids
     for _ in range(2, i + 1):

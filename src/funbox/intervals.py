@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, _json_int
 from .parameters import Witness, _emit, pair_witness, sd_pair
 
 
@@ -78,10 +78,30 @@ def interval_rep_to_json(rep: IntervalRep) -> dict:
     }
 
 
+def _json_pairs(data, key: str, what: str) -> tuple[tuple[int, int], ...]:
+    """``data[key]`` as a tuple of integer pairs; GraphError on any other shape."""
+    if not isinstance(data, dict):
+        raise GraphError(f"{what} JSON must be an object with key {key!r}")
+    if key not in data:
+        raise GraphError(f"{what} JSON is missing key {key!r}")
+    items = data[key]
+    if not isinstance(items, (list, tuple)):
+        raise GraphError(f"{what} JSON {key!r} must be a list")
+    pairs = []
+    for item in items:
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise GraphError(f"{what} entry {item!r} must be a pair of integers")
+        pairs.append(tuple(_json_int(x, f"{what} coordinate") for x in item))
+    return tuple(pairs)
+
+
 def interval_rep_from_json(data: dict) -> IntervalRep:
+    intervals = _json_pairs(data, "intervals", "interval")
     return IntervalRep(
-        intervals=tuple((int(l), int(r)) for l, r in data["intervals"]),
-        scale_denominator=int(data.get("scale_denominator", 1)),
+        intervals=intervals,
+        scale_denominator=_json_int(
+            data.get("scale_denominator", 1), "'scale_denominator'"
+        ),
     )
 
 
@@ -90,7 +110,7 @@ def point_rep_to_json(rep: PointRep) -> dict:
 
 
 def point_rep_from_json(data: dict) -> PointRep:
-    return PointRep(points=tuple((int(i), int(j)) for i, j in data["points"]))
+    return PointRep(points=_json_pairs(data, "points", "point"))
 
 
 def _overlap_rows(a_boxes, b_boxes) -> list[int]:

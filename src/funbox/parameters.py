@@ -3,12 +3,24 @@
 A vertex y is a function of an argument list S if one Boolean table over the
 adjacency pattern to S predicts y's adjacency to every vertex outside
 S + {y}. The minimum |S| is the functionality of y. Graph-level values
-maximize the per-subgraph minimum over all induced subgraphs, so the
-graph-level operations are exhaustive sweeps guarded by size limits.
+maximize the per-subgraph minimum over all induced subgraphs; they are exact
+searches guarded by size limits that branch on witnesses instead of
+visiting all 2^n subsets. Both rest on one lemma each:
+
+- sd: if (x, y) is a least-sd pair of S, every subset of S holding x and y
+  has sd(x, y) at most sd_S(x, y), so only subsets of S - x or S - y can
+  have a larger minimum.
+- fun: if v is a function of A inside S, it is a function of A inside every
+  subset of S holding A + v. So a subset can beat a witness with
+  |A| <= best only by missing a vertex of A + v. Witnesses come from
+  degrees, from a pair x, y (x is a function of y and the vertices
+  distinguishing x from y, so fun <= sd + 1), or from the hitting-set
+  kernel.
 
 The per-vertex minimum is solved as a minimum hitting set over conflict
 pairs: for every pair (z, z') with different adjacency to y, the argument
-set must contain z, z', or a vertex distinguishing them.
+set must contain z, z', or a vertex distinguishing them. The kernel works
+on the transposed instance, one requirement-index mask per vertex.
 """
 
 from __future__ import annotations
@@ -16,6 +28,8 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import partial, reduce
+from operator import or_
 from typing import Iterable
 
 from .graphs import Graph, GraphError, SizeLimitError, bit_ids, mask_of
@@ -149,10 +163,68 @@ def sd_pair(g: Graph, x: int, y: int) -> int:
     return diff.bit_count()
 
 
+def _min_pair_sd(rows, mask: int, enough: int = 0) -> tuple[int, int, int]:
+    """Least sd inside ``mask`` (>= 2 vertices) and a pair (x, y) reaching it.
+
+    Stops at the first pair with sd <= ``enough`` and returns that pair
+    instead, for callers that only need some pair at most that far apart.
+    """
+    verts = list(bit_ids(mask))
+    inside = [rows[v] & mask for v in verts]
+    best = (mask.bit_count(), -1, -1)
+    for i, (x, rx) in enumerate(zip(verts, inside)):
+        for y, ry in zip(verts[i + 1:], inside[i + 1:]):
+            # bits x and y of rx ^ ry are both set iff x ~ y; neither counts
+            d = (rx ^ ry).bit_count() - 2 * (rx >> y & 1)
+            if d < best[0]:
+                best = (d, x, y)
+                if d <= enough:
+                    return best
+    return best
+
+
+def _branch_search(full: int, step) -> int:
+    """Largest value over the subsets of ``full``, by depth-first branching.
+
+    ``step(mask, best)`` returns the new best and a branching set B such that
+    no subset of ``mask`` holding all of B beats it, so the search visits
+    only mask - b for b in B, each subset at most once.
+    """
+    best = 0
+    seen = set()
+    stack = [full]
+    while stack:
+        mask = stack.pop()
+        best, branch = step(mask, best)
+        for v in bit_ids(branch):
+            child = mask & ~(1 << v)
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return best
+
+
+def _sd_branch(rows, mask: int, best: int) -> tuple[int, int]:
+    """One step of the sd search: (max(best, min-pair sd of mask), a pair).
+
+    A subset T of S holding both x and y has sd_T(x, y) <= sd_S(x, y). So
+    when (x, y) is a least-sd pair of S, or any pair with sd_S(x, y) <= best,
+    only subsets of S - x or S - y can beat the returned value. In any three
+    vertices the third fails to tell some pair apart (the three XORs of
+    their adjacencies sum to 0 mod 2), so a k-set has min-pair sd at most
+    k - 3; when that cannot beat ``best`` the branching set is empty.
+    """
+    if mask.bit_count() - 3 <= best:
+        return best, 0
+    d, x, y = _min_pair_sd(rows, mask, best)
+    return max(best, d), 1 << x | 1 << y
+
+
 def sd_graph(g: Graph, max_n: int | None = None) -> int:
     """Max over induced subgraphs (>= 2 vertices) of the min pairwise sd.
 
-    Exhaustive over all 2^n subsets; 0 for graphs with fewer than 2 vertices.
+    Exact by branching on a least-sd pair (see ``_sd_branch``); 0 for graphs
+    with fewer than 2 vertices.
     """
     limit = _resolve_limit(max_n, SD_MAX_N_DEFAULT)
     if g.n > limit:
@@ -160,27 +232,7 @@ def sd_graph(g: Graph, max_n: int | None = None) -> int:
             f"sd_graph guard is {limit} vertices (got {g.n}); "
             "raise max_n or FUNBOX_MAX_N"
         )
-    rows = g.rows
-    best = 0
-    for mask in range(1, 1 << g.n):
-        if mask.bit_count() < 2:
-            continue
-        verts = [v for v in range(g.n) if mask >> v & 1]
-        cur = None
-        for i, x in enumerate(verts):
-            rx = rows[x]
-            bx = 1 << x
-            for y in verts[i + 1:]:
-                d = ((rx ^ rows[y]) & mask & ~bx & ~(1 << y)).bit_count()
-                if cur is None or d < cur:
-                    cur = d
-                    if cur <= best:
-                        break
-            if cur is not None and cur <= best:
-                break
-        if cur > best:
-            best = cur
-    return best
+    return _branch_search(g.full_mask, partial(_sd_branch, g.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -228,35 +280,69 @@ def _conflict_requirements(rows, universe: int, y: int) -> list[int]:
     return sorted(reqs, key=int.bit_count)
 
 
-def _hittable(reqs: list[int], budget: int, allowed: int) -> bool:
-    """Branch and bound: can ``allowed`` elements of size <= budget hit all reqs?"""
-    pend = []
-    for r in reqs:
-        ra = r & allowed
-        if ra == 0:
-            return False
-        pend.append(ra)
-    if not pend:
-        return True
+def _arg_system(rows, universe: int, y: int) -> tuple[list[tuple[int, int]], int]:
+    """y's argument sets inside ``universe`` as a transposed hitting-set instance.
+
+    Returns (cands, need): ``need`` has one bit per conflict requirement, and
+    ``cands`` lists, in increasing id order, each vertex e that hits some
+    requirement as (e, mask of the requirement indices e hits).
+    """
+    reqs = _conflict_requirements(rows, universe, y)
+    # transpose the bit matrix whose row i is reqs[i] through binary strings:
+    # column j of the strings (most significant bit first) is vertex width-1-j
+    width = universe.bit_length()
+    lines = [format(r, f"0{width}b") for r in reversed(reqs)]
+    cover = [int("".join(col), 2) for col in zip(*lines)][::-1]
+    return [(e, c) for e, c in enumerate(cover) if c], (1 << len(reqs)) - 1
+
+
+def _hit(cands: list[tuple[int, int]], need: int, budget: int):
+    """At most ``budget`` candidates hitting every requirement in ``need``.
+
+    ``need`` is a mask of requirement indices and ``cands`` lists each usable
+    element as (e, mask of the pending requirements e hits), nonzero masks
+    only. Returns the chosen elements as a mask, or None when no such set
+    exists.
+
+    A node is cut when the candidates miss a pending requirement, or when
+    ``budget`` elements of the largest coverage cannot reach them all. It
+    branches on the pending requirement of lowest index, the smallest one
+    at the start since ``_conflict_requirements`` sorts by size; an element
+    already tried is left out of the later branches.
+    """
+    if not need:
+        return 0
     if budget <= 0:
-        return False
-    acc = 0
-    lb = 0
-    for ra in pend:
-        if not ra & acc:
-            lb += 1
-            if lb > budget:
-                return False
-            acc |= ra
-    branch = min(pend, key=int.bit_count)
-    tried = 0
-    for e in bit_ids(branch):
-        be = 1 << e
-        rem = [q for q in pend if not q & be]
-        if _hittable(rem, budget - 1, allowed & ~tried & ~be):
-            return True
-        tried |= be
-    return False
+        return None
+    hits = [c for _, c in cands]
+    size = need.bit_count()
+    if reduce(or_, hits, 0) != need:
+        return None
+    top = max(map(int.bit_count, hits))
+    if top * budget < size:
+        return None
+    if top == size:
+        return next(1 << e for e, c in cands if c == need)
+    # no single element suffices, so budget >= 2 here
+    low = need & -need
+    if budget == 2:
+        # a second element must hit everything the first one leaves
+        misses = [~c for c in hits]
+        for e, c in cands:
+            if c & low:
+                rest = need & ~c
+                if 0 in map(rest.__and__, misses):
+                    return 1 << e | next(1 << f for f, d in cands if d & rest == rest)
+        return None
+    pool = cands
+    for e, c in cands:
+        if c & low:
+            pool = [p for p in pool if p[0] != e]
+            rest = need & ~c
+            sub = _hit([(f, d & rest) for f, d in pool if d & rest], rest, budget - 1)
+            if sub is not None:
+                return sub | 1 << e
+    return None
 
 
 def _min_args(rows, universe: int, y: int) -> tuple[int, list[int]]:
@@ -265,28 +351,22 @@ def _min_args(rows, universe: int, y: int) -> tuple[int, list[int]]:
     Returns (k, ids) with ids the lexicographically least minimum set
     (ordered as a sorted id list), matching naive subset enumeration.
     """
-    reqs = _conflict_requirements(rows, universe, y)
-    if not reqs:
+    cands, need = _arg_system(rows, universe, y)
+    if not need:
         return 0, []
     others = universe & ~(1 << y)
     nbrs = rows[y] & others
     ub = min(nbrs.bit_count(), (others & ~nbrs).bit_count())
-    union = 0
-    for r in reqs:
-        union |= r
-    k = next(b for b in range(1, ub + 1) if _hittable(reqs, b, union))
+    k = next(b for b in range(1, ub + 1) if _hit(cands, need, b) is not None)
     chosen: list[int] = []
-    pend = reqs
-    allowed = union
     for slot in range(k):
         budget = k - slot - 1
-        for e in bit_ids(allowed):
-            be = 1 << e
-            rem = [q for q in pend if not q & be]
-            if _hittable(rem, budget, allowed & ~((be << 1) - 1)):
+        for i, (e, c) in enumerate(cands):
+            rest = need & ~c
+            later = [(f, d & rest) for f, d in cands[i + 1:] if d & rest]
+            if _hit(later, rest, budget) is not None:
                 chosen.append(e)
-                pend = rem
-                allowed &= ~((be << 1) - 1)
+                need, cands = rest, later
                 break
         else:
             raise AssertionError("hitting-set reconstruction failed")
@@ -329,55 +409,72 @@ def fun_vertex_naive(g: Graph, y: int) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("unreachable: y is always a function of all others")
 
 
+def _fun_branch(rows, mask: int, best: int) -> tuple[int, int]:
+    """One step of the fun search: (b, B) with b = max(best, fun(mask)) and B
+    a subset of ``mask`` such that every T with B <= T <= mask has fun(T) <= b.
+
+    A witness (v, A) of v inside ``mask`` stays valid in every T holding
+    A + v, because removing vertices outside A + v only removes conditions.
+    B is A + v for the first witness found with |A| <= best, trying in order
+    a vertex with its neighbours or its non-neighbours, a pair x, y with
+    sd < best (x is a function of y and the vertices distinguishing them,
+    so |A| = sd + 1), and a hitting set of at most ``best`` vertices. Failing
+    all of those, fun(mask) > best and B is a minimum witness of ``mask``.
+    A k-set has fun at most (k - 1) // 2; when that cannot beat ``best``,
+    B is empty.
+    """
+    m = mask.bit_count()
+    if (m - 1) // 2 <= best:
+        return best, 0
+    for v in bit_ids(mask):
+        nbrs = rows[v] & mask
+        deg = nbrs.bit_count()
+        if deg <= best:
+            return best, nbrs | 1 << v
+        if m - 1 - deg <= best:
+            return best, mask & ~nbrs
+    if best:  # a pair witness has at least one argument
+        d, x, y = _min_pair_sd(rows, mask, best - 1)
+        if d < best:
+            return best, 1 << x | 1 << y
+    systems = []
+    for v in bit_ids(mask):
+        cands, need = _arg_system(rows, mask, v)
+        args = _hit(cands, need, best)
+        if args is not None:
+            return best, args | 1 << v
+        systems.append((v, cands, need))
+    # every vertex needs more than `best` arguments: find the exact minimum
+    low = None
+    for v, cands, need in systems:
+        deg = (rows[v] & mask).bit_count()
+        hi = min(deg, m - 1 - deg)
+        if low is not None:
+            hi = min(hi, low - 1)
+        for b in range(best + 1, hi + 1):
+            args = _hit(cands, need, b)
+            if args is not None:
+                low, branch = b, args | 1 << v
+                break
+    if low is None:
+        raise AssertionError("subset minimum escaped its degree bound")
+    return low, branch
+
+
 def fun_graph(g: Graph, max_n: int | None = None) -> int:
-    """Max over nonempty induced subgraphs of the min vertex functionality."""
+    """Max over nonempty induced subgraphs of the min vertex functionality.
+
+    Exact by branching on witnesses: at a subset S, ``_fun_branch`` gives a
+    set B such that no subset holding all of B beats the best value so far,
+    so the search only visits S - b for b in B.
+    """
     limit = _resolve_limit(max_n, FUN_MAX_N_DEFAULT)
     if g.n > limit:
         raise SizeLimitError(
             f"fun_graph guard is {limit} vertices (got {g.n}); "
             "raise max_n or FUNBOX_MAX_N"
         )
-    rows = g.rows
-    best = 0
-    for mask in range(1, 1 << g.n):
-        m = mask.bit_count()
-        if m < 2:
-            continue
-        verts = [v for v in range(g.n) if mask >> v & 1]
-        # fun(y) <= min(deg, m-1-deg) inside the subgraph, so the subset
-        # cannot beat `best` unless every vertex clears that bound.
-        ub = m
-        for y in verts:
-            d = (rows[y] & mask).bit_count()
-            b = d if d < m - 1 - d else m - 1 - d
-            if b < ub:
-                ub = b
-                if ub <= best:
-                    break
-        if ub <= best:
-            continue
-        reqs_by_y: dict[int, list[int]] = {}
-        some_feasible = False
-        for y in verts:
-            reqs_by_y[y] = _conflict_requirements(rows, mask, y)
-            if _hittable(reqs_by_y[y], best, mask & ~(1 << y)):
-                some_feasible = True
-                break
-        if some_feasible:
-            continue
-        # every vertex needs more than `best` arguments: compute the exact min
-        sub_min = None
-        for y in verts:
-            reqs = reqs_by_y[y]
-            hi = sub_min - 1 if sub_min is not None else ub
-            for b in range(best + 1, hi + 1):
-                if _hittable(reqs, b, mask & ~(1 << y)):
-                    sub_min = b
-                    break
-        if sub_min is None:
-            raise AssertionError("subset minimum escaped its degree bound")
-        best = sub_min
-    return best
+    return _branch_search(g.full_mask, partial(_fun_branch, g.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Naive reference implementations used to cross-check the fast kernels.
+"""Reference implementations used to cross-check the fast kernels.
 
-Everything here works from the definitions with plain loops and subset
-enumeration, independent of the bit-row kernels under test.
+The ``naive_*`` functions work from the definitions with plain loops and
+subset enumeration, independent of the bit-row kernels under test. The
+``sweep_*`` and ``listbb_*`` functions are the kernels that the package used
+before: full 2^n subset sweeps and a list-based hitting-set branch and bound.
 """
 
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 import itertools
 
 from funbox import Graph, from_edge_list
+from funbox.graphs import bit_ids
+from funbox.parameters import _conflict_requirements
 
 
 def adjacent(g: Graph, u: int, v: int) -> bool:
@@ -77,6 +81,142 @@ def naive_sd_graph(g: Graph) -> int:
                     for y in range(x + 1, h.n)
                 ),
             )
+    return best
+
+
+# ---------------------------------------------------------------------------
+# full-sweep and list-based hitting-set kernels replaced by the branching
+# searches and the transposed kernel in funbox.parameters
+# ---------------------------------------------------------------------------
+
+def sweep_sd_graph(g: Graph) -> int:
+    """Min pairwise sd of every subset of >= 2 vertices, maximized."""
+    rows = g.rows
+    best = 0
+    for mask in range(1, 1 << g.n):
+        if mask.bit_count() < 2:
+            continue
+        verts = [v for v in range(g.n) if mask >> v & 1]
+        cur = None
+        for i, x in enumerate(verts):
+            rx = rows[x]
+            bx = 1 << x
+            for y in verts[i + 1:]:
+                d = ((rx ^ rows[y]) & mask & ~bx & ~(1 << y)).bit_count()
+                if cur is None or d < cur:
+                    cur = d
+                    if cur <= best:
+                        break
+            if cur is not None and cur <= best:
+                break
+        if cur > best:
+            best = cur
+    return best
+
+
+def _listbb_hittable(reqs: list[int], budget: int, allowed: int) -> bool:
+    """Can ``allowed`` elements of size <= budget hit all reqs?"""
+    pend = []
+    for r in reqs:
+        ra = r & allowed
+        if ra == 0:
+            return False
+        pend.append(ra)
+    if not pend:
+        return True
+    if budget <= 0:
+        return False
+    acc = 0
+    lb = 0
+    for ra in pend:
+        if not ra & acc:
+            lb += 1
+            if lb > budget:
+                return False
+            acc |= ra
+    branch = min(pend, key=int.bit_count)
+    tried = 0
+    for e in bit_ids(branch):
+        be = 1 << e
+        rem = [q for q in pend if not q & be]
+        if _listbb_hittable(rem, budget - 1, allowed & ~tried & ~be):
+            return True
+        tried |= be
+    return False
+
+
+def listbb_min_args(rows, universe: int, y: int) -> tuple[int, list[int]]:
+    """Minimum argument set for y inside ``universe``, lexicographically least."""
+    reqs = _conflict_requirements(rows, universe, y)
+    if not reqs:
+        return 0, []
+    others = universe & ~(1 << y)
+    nbrs = rows[y] & others
+    ub = min(nbrs.bit_count(), (others & ~nbrs).bit_count())
+    union = 0
+    for r in reqs:
+        union |= r
+    k = next(b for b in range(1, ub + 1) if _listbb_hittable(reqs, b, union))
+    chosen: list[int] = []
+    pend = reqs
+    allowed = union
+    for slot in range(k):
+        budget = k - slot - 1
+        for e in bit_ids(allowed):
+            be = 1 << e
+            rem = [q for q in pend if not q & be]
+            if _listbb_hittable(rem, budget, allowed & ~((be << 1) - 1)):
+                chosen.append(e)
+                pend = rem
+                allowed &= ~((be << 1) - 1)
+                break
+        else:
+            raise AssertionError("hitting-set reconstruction failed")
+    return k, chosen
+
+
+def sweep_fun_graph(g: Graph) -> int:
+    """Min vertex functionality of every subset of >= 2 vertices, maximized."""
+    rows = g.rows
+    best = 0
+    for mask in range(1, 1 << g.n):
+        m = mask.bit_count()
+        if m < 2:
+            continue
+        verts = [v for v in range(g.n) if mask >> v & 1]
+        # fun(y) <= min(deg, m-1-deg) inside the subgraph, so the subset
+        # cannot beat `best` unless every vertex clears that bound.
+        ub = m
+        for y in verts:
+            d = (rows[y] & mask).bit_count()
+            b = d if d < m - 1 - d else m - 1 - d
+            if b < ub:
+                ub = b
+                if ub <= best:
+                    break
+        if ub <= best:
+            continue
+        reqs_by_y: dict[int, list[int]] = {}
+        some_feasible = False
+        for y in verts:
+            reqs_by_y[y] = _conflict_requirements(rows, mask, y)
+            if _listbb_hittable(reqs_by_y[y], best, mask & ~(1 << y)):
+                some_feasible = True
+                break
+        if some_feasible:
+            continue
+        # every vertex needs more than `best` arguments: compute the exact min
+        sub_min = None
+        for y in verts:
+            reqs = reqs_by_y[y]
+            hi = sub_min - 1 if sub_min is not None else ub
+            for b in range(best + 1, hi + 1):
+                if _listbb_hittable(reqs, b, mask & ~(1 << y)):
+                    sub_min = b
+                    break
+        if sub_min is None:
+            raise AssertionError("subset minimum escaped its degree bound")
+        best = sub_min
     return best
 
 

@@ -184,3 +184,80 @@ def test_malformed_graph_json_is_2(tmp_path, capsys, payload):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _q4_file(tmp_path):
+    path = tmp_path / "q4.json"
+    path.write_text(json.dumps(fb.graph_to_json(fb.hypercube(4)[0])))
+    return str(path)
+
+
+def _json_file(tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        lambda t: ["compute", "fun-graph", "-i", _q4_file(t)],
+        lambda t: ["compute", "sd-graph", "-i", _q4_file(t)],
+        lambda t: ["gen", "hni", "--n", "7", "--i", "7"],
+        lambda t: ["witness", "interval", "-i", _json_file(t, "r.json", [[0, 1], [1, 2]])],
+        lambda t: ["verify", "hni", "--config", _json_file(t, "c.json", {"sizes": 3})],
+        lambda t: ["verify", "gk-sd", "--sizes", "1"],
+    ],
+    ids=[
+        "fun-graph-over-guard",
+        "sd-graph-over-guard",
+        "gen-hni-over-size-limit",
+        "interval-json-top-level-list",
+        "config-sizes-not-a-list",
+        "gk-sd-k-below-2",
+    ],
+)
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, make_argv):
+    code = main(make_argv(tmp_path))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"intervals": 3},
+        {"scale_denominator": 1},
+        {"intervals": [[0, 1, 2]]},
+        {"intervals": [[0, "1"]]},
+        {"intervals": [[True, 1]]},
+        {"intervals": [[0, 1.5]]},
+        {"intervals": [[0, 1]], "scale_denominator": 1.0},
+    ],
+)
+def test_malformed_interval_json_is_2(tmp_path, capsys, payload):
+    code = main(["witness", "interval", "-i", _json_file(tmp_path, "r.json", payload)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"sizes": ["3"]},
+        {"sizes": [True]},
+        {"seed": "1"},
+        {"trials": 2.0},
+        {"trials": ""},
+        {"limits": [12, 14]},
+        {"limits": {"fun_max_n": None}},
+        {"output": 5},
+    ],
+)
+def test_malformed_config_json_is_2(tmp_path, capsys, payload):
+    code = main(["verify", "hni", "--config", _json_file(tmp_path, "c.json", payload)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

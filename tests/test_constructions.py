@@ -2,7 +2,7 @@ import pytest
 
 import funbox as fb
 from funbox.constructions import abc_parts
-from funbox.graphs import GraphError
+from funbox.graphs import GraphError, SizeLimitError
 
 
 # ---------------------------------------------------------------- half graph
@@ -202,6 +202,14 @@ def test_hni_all_small_parameters():
 def test_hni_rejects_bad_level():
     with pytest.raises(GraphError):
         fb.point_box_incidence(3, 4)
+
+
+@pytest.mark.parametrize("n,i", [(7, 7), (16, 4), (10**6, 10**6)])
+def test_hni_size_guard_before_building(n, i):
+    # n^i + i*n^(i-1) vertices is over 2^16 in each case; the guard is checked
+    # from the closed form, so even the last case returns at once
+    with pytest.raises(SizeLimitError):
+        fb.point_box_incidence(n, i)
 
 
 # ---------------------------------------------------------------- hypercube

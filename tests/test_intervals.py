@@ -146,3 +146,14 @@ def test_point_rep_json_round_trip():
     assert interval_rep_from_json(interval_rep_to_json(rep)) == rep
     pts = fb.normalize(rep)
     assert point_rep_from_json(point_rep_to_json(pts)) == pts
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[[1, 2]], {}, {"points": 3}, {"points": [[1]]}, {"points": [[1, "2"]]}, {"points": [[False, 2]]}],
+)
+def test_point_rep_json_shape_is_checked(payload):
+    from funbox.intervals import point_rep_from_json
+
+    with pytest.raises(GraphError):
+        point_rep_from_json(payload)
