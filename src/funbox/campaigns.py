@@ -5,6 +5,13 @@ generate instances from a seed, run the relevant checkers, and report one
 pass/fail record per instance. Reports are machine-first JSON (optionally
 rendered to markdown) and are byte-identical for identical configs and
 seeds, timing fields aside.
+
+A campaign is one entry of ``CAMPAIGNS``, a ``Campaign(plan, run)`` record:
+``plan(rng, cfg)`` lists the params of every instance and must depend only
+on the config and on draws from ``rng`` (seeded with ``cfg.seed``);
+``run(params)`` checks one instance and returns ``(outputs, ok)``. Params
+must be plain JSON data, since they are pickled to worker processes and
+copied into the report.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
+from typing import Callable
 
 from . import __version__
 from .constructions import (
@@ -29,15 +38,18 @@ from .geometry import (
     realize_abc_intervals,
     realize_pointbox_plane,
 )
-from .graphs import Graph, equal_labeled, from_edge_list
+from .graphs import Graph, equal_labeled, from_edge_list, mask_of
 from .intervals import (
     IntervalRep,
     check_sd_lemma,
     find_low_fun_witness,
     graph_from_intervals,
+    graph_from_points,
     normalize,
 )
 from .parameters import (
+    _cached_k2p_free,
+    _cached_triangle_free,
     _min_pair_sd,
     fun_graph,
     fun_vertex,
@@ -49,18 +61,6 @@ from .parameters import (
     witness_is_valid,
 )
 from .rng import SplitMix64
-
-CAMPAIGN_NAMES = (
-    "lemma-sd",
-    "thm-fun8",
-    "gk-sd",
-    "hni",
-    "refute",
-    "abc-realize",
-    "fun-sd-bound",
-    "threshold-fun0",
-)
-
 
 class ConfigError(ValueError):
     """Bad campaign name or configuration."""
@@ -226,15 +226,20 @@ def random_permutation(n: int, seed: int) -> tuple[int, ...]:
 # campaign instance runners
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4)
+# name -> (family, family args, k, p): refute_function's premise on the graph
+_REFUTE_TARGETS = {
+    "hni44": (point_box_incidence, (4, 4), 1, 2),
+    "q4": (hypercube, (4,), 1, 3),
+}
+
+
+@lru_cache(maxsize=len(_REFUTE_TARGETS))
 def _refute_target(name: str):
-    if name == "hni44":
-        g, _ = point_box_incidence(4, 4)
-        return g, 1, 2
-    if name == "q4":
-        g, _ = hypercube(4)
-        return g, 1, 3
-    raise ConfigError(f"unknown refutation target {name!r}")
+    if name not in _REFUTE_TARGETS:
+        raise ConfigError(f"unknown refutation target {name!r}")
+    family, args, k, p = _REFUTE_TARGETS[name]
+    g, _ = family(*args)
+    return g, k, p
 
 
 def _instance_lemma_sd(params: dict) -> tuple[dict, bool]:
@@ -248,8 +253,6 @@ def _instance_thm_fun8(params: dict) -> tuple[dict, bool]:
     rep = random_interval_rep(params["n"], params["seed"], params["coord_range"])
     pts = normalize(rep)
     w = find_low_fun_witness(pts)
-    from .intervals import graph_from_points
-
     ok = witness_is_valid(graph_from_points(pts), w)
     bound = 7 if params["n"] <= 8 else 8
     ok = ok and w.arity <= bound
@@ -263,37 +266,20 @@ def _instance_gk_sd(params: dict) -> tuple[dict, bool]:
     ok = worst >= k
     out = {"n": g.n, "min_sd": worst}
     if params.get("check_coordinates"):
-        a_mask = 0
-        for v in meta.parts["A"]:
-            a_mask |= 1 << v
-        c_mask = 0
-        for v in meta.parts["C"]:
-            c_mask |= 1 << v
-        coord_ok = True
-        b_ids = meta.parts["B"]
-        for ui in range(len(b_ids)):
-            u = b_ids[ui]
-            du = meta.vertex_data[u]
-            for vi in range(ui + 1, len(b_ids)):
-                v = b_ids[vi]
-                dv = meta.vertex_data[v]
-                diff = g.rows[u] ^ g.rows[v]
-                if (diff & a_mask).bit_count() != abs(du["bx"] - dv["bx"]):
-                    coord_ok = False
-                    break
-                if (diff & c_mask).bit_count() != abs(du["by"] - dv["by"]):
-                    coord_ok = False
-                    break
-            if not coord_ok:
-                break
+        # B vertices u, v differ on |bx_u - bx_v| vertices of A and |by_u - by_v| of C
+        axes = [(mask_of(meta.parts["A"], g.n), "bx"), (mask_of(meta.parts["C"], g.n), "by")]
+        data = meta.vertex_data
+        coord_ok = all(
+            ((g.rows[u] ^ g.rows[v]) & mask).bit_count() == abs(data[u][key] - data[v][key])
+            for u, v in combinations(meta.parts["B"], 2)
+            for mask, key in axes
+        )
         out["coordinate_counts_exact"] = coord_ok
         ok = ok and coord_ok
     return out, ok
 
 
 def _instance_hni(params: dict) -> tuple[dict, bool]:
-    from .parameters import structure_scan
-
     n, i = params["n"], params["i"]
     g, meta = point_box_incidence(n, i)
     p_ids, box_ids = meta.parts["P"], meta.parts["Box"]
@@ -303,9 +289,8 @@ def _instance_hni(params: dict) -> tuple[dict, bool]:
         "box_degree": all(g.degree(v) == n for v in box_ids),
         "point_degree": all(g.degree(v) == i for v in p_ids),
     }
-    scan = structure_scan(g, 2)
-    checks["k22_free"] = scan.k2p_free
-    checks["triangle_free"] = scan.triangle_free
+    checks["k22_free"] = _cached_k2p_free(g, 2)
+    checks["triangle_free"] = _cached_triangle_free(g)
     pts, bs, report = realize_pointbox_plane(n, i)
     checks["plane_equal"] = report.equal
     bs3 = embed_pointbox_r3(pts, bs)
@@ -386,111 +371,85 @@ def _instance_threshold_fun0(params: dict) -> tuple[dict, bool]:
     return {"n": g.n, "fun_graph": fg, "threshold": th}, (fg == 0) == th
 
 
-_RUNNERS = {
-    "lemma-sd": _instance_lemma_sd,
-    "thm-fun8": _instance_thm_fun8,
-    "gk-sd": _instance_gk_sd,
-    "hni": _instance_hni,
-    "refute": _instance_refute,
-    "abc-realize": _instance_abc_realize,
-    "fun-sd-bound": _instance_fun_sd_bound,
-    "threshold-fun0": _instance_threshold_fun0,
+# ---------------------------------------------------------------------------
+# instance plans (deterministic given the config) and the campaign table
+# ---------------------------------------------------------------------------
+
+def _sampled(trials, sizes, *, coord_range=None, edge_p=False, fun_limited=False):
+    """Plan of ``cfg.trials or trials`` instances, each drawing n from
+    ``cfg.sizes or sizes``, then (``edge_p``) an edge probability p_num/4,
+    then a seed; ``fun_limited`` caps the size pool at ``cfg.fun_max_n``."""
+
+    def plan(rng: SplitMix64, cfg: CampaignConfig) -> list[dict]:
+        pool = cfg.sizes or sizes
+        if fun_limited and max(pool) > cfg.fun_max_n:
+            raise ConfigError(
+                f"sizes up to {max(pool)} exceed the fun_max_n limit {cfg.fun_max_n}"
+            )
+        plans = []
+        for _ in range(cfg.trials or trials):
+            params = {"n": pool[rng.below(len(pool))]}
+            if edge_p:
+                params.update(p_num=1 + rng.below(3), p_den=4)
+            params["seed"] = rng.next_u64()
+            if coord_range:
+                params["coord_range"] = coord_range
+            plans.append(params)
+        return plans
+
+    return plan
+
+
+def _plan_gk_sd(rng: SplitMix64, cfg: CampaignConfig) -> list[dict]:
+    sizes = cfg.sizes or [2, 3, 4]
+    if min(sizes) < 2:
+        raise ConfigError(f"gk-sd needs every k >= 2, got {min(sizes)}")
+    return [{"k": k, "check_coordinates": k <= 3} for k in sizes]
+
+
+def _plan_hni(rng: SplitMix64, cfg: CampaignConfig) -> list[dict]:
+    top = max(cfg.sizes or [4])
+    return [{"n": n, "i": i} for n in range(1, top + 1) for i in range(1, n + 1)]
+
+
+def _plan_refute(rng: SplitMix64, cfg: CampaignConfig) -> list[dict]:
+    trials = cfg.trials or 1000
+    return [
+        {"graph": graph, "seed": rng.next_u64()}
+        for graph in _REFUTE_TARGETS
+        for _ in range(trials)
+    ]
+
+
+@dataclass(frozen=True)
+class Campaign:
+    plan: Callable[[SplitMix64, CampaignConfig], list[dict]]
+    run: Callable[[dict], tuple[dict, bool]]
+
+
+CAMPAIGNS: dict[str, Campaign] = {
+    "lemma-sd": Campaign(_sampled(500, range(1, 61), coord_range=1000), _instance_lemma_sd),
+    "thm-fun8": Campaign(_sampled(500, range(1, 61), coord_range=1000), _instance_thm_fun8),
+    "gk-sd": Campaign(_plan_gk_sd, _instance_gk_sd),
+    "hni": Campaign(_plan_hni, _instance_hni),
+    "refute": Campaign(_plan_refute, _instance_refute),
+    "abc-realize": Campaign(_sampled(100, range(1, 51)), _instance_abc_realize),
+    "fun-sd-bound": Campaign(
+        _sampled(1000, range(4, 13), fun_limited=True), _instance_fun_sd_bound
+    ),
+    "threshold-fun0": Campaign(
+        _sampled(200, range(2, 10), edge_p=True, fun_limited=True),
+        _instance_threshold_fun0,
+    ),
 }
-
-
-# ---------------------------------------------------------------------------
-# instance plans (deterministic given the config)
-# ---------------------------------------------------------------------------
-
-def _plan(name: str, cfg: CampaignConfig) -> list[dict]:
-    rng = SplitMix64(cfg.seed)
-    if name == "lemma-sd":
-        trials = cfg.trials or 500
-        sizes = cfg.sizes or list(range(1, 61))
-        return [
-            {
-                "n": sizes[rng.below(len(sizes))],
-                "seed": rng.next_u64(),
-                "coord_range": 1000,
-            }
-            for _ in range(trials)
-        ]
-    if name == "thm-fun8":
-        trials = cfg.trials or 500
-        sizes = cfg.sizes or list(range(1, 61))
-        return [
-            {
-                "n": sizes[rng.below(len(sizes))],
-                "seed": rng.next_u64(),
-                "coord_range": 1000,
-            }
-            for _ in range(trials)
-        ]
-    if name == "gk-sd":
-        sizes = cfg.sizes or [2, 3, 4]
-        if min(sizes) < 2:
-            raise ConfigError(f"gk-sd needs every k >= 2, got {min(sizes)}")
-        return [{"k": k, "check_coordinates": k <= 3} for k in sizes]
-    if name == "hni":
-        sizes = cfg.sizes or [4]
-        top = max(sizes)
-        return [
-            {"n": n, "i": i}
-            for n in range(1, top + 1)
-            for i in range(1, n + 1)
-        ]
-    if name == "refute":
-        trials = cfg.trials or 1000
-        plans = []
-        for graph in ("hni44", "q4"):
-            plans.extend(
-                {"graph": graph, "seed": rng.next_u64()} for _ in range(trials)
-            )
-        return plans
-    if name == "abc-realize":
-        trials = cfg.trials or 100
-        sizes = cfg.sizes or list(range(1, 51))
-        return [
-            {"n": sizes[rng.below(len(sizes))], "seed": rng.next_u64()}
-            for _ in range(trials)
-        ]
-    if name == "fun-sd-bound":
-        trials = cfg.trials or 1000
-        sizes = cfg.sizes or list(range(4, 13))
-        if max(sizes) > cfg.fun_max_n:
-            raise ConfigError(
-                f"sizes up to {max(sizes)} exceed the fun_max_n limit {cfg.fun_max_n}"
-            )
-        return [
-            {"n": sizes[rng.below(len(sizes))], "seed": rng.next_u64()}
-            for _ in range(trials)
-        ]
-    if name == "threshold-fun0":
-        trials = cfg.trials or 200
-        sizes = cfg.sizes or list(range(2, 10))
-        if max(sizes) > cfg.fun_max_n:
-            raise ConfigError(
-                f"sizes up to {max(sizes)} exceed the fun_max_n limit {cfg.fun_max_n}"
-            )
-        plans = []
-        for _ in range(trials):
-            plans.append(
-                {
-                    "n": sizes[rng.below(len(sizes))],
-                    "p_num": 1 + rng.below(3),
-                    "p_den": 4,
-                    "seed": rng.next_u64(),
-                }
-            )
-        return plans
-    raise ConfigError(f"unknown campaign {name!r}; choose from {CAMPAIGN_NAMES}")
+CAMPAIGN_NAMES = tuple(CAMPAIGNS)
 
 
 def _run_one(task: tuple[str, int, dict]) -> dict:
     name, index, params = task
     start = time.perf_counter()
     try:
-        outputs, ok = _RUNNERS[name](params)
+        outputs, ok = CAMPAIGNS[name].run(params)
     except Exception as exc:  # one instance's error must not end the campaign
         outputs, ok = {"error_type": type(exc).__name__, "error": str(exc)}, False
     return {
@@ -507,7 +466,9 @@ def verify_campaign(
 ) -> CampaignReport:
     """Run a named campaign; the report is deterministic for a fixed config."""
     cfg = cfg or CampaignConfig()
-    plans = _plan(name, cfg)
+    if name not in CAMPAIGNS:
+        raise ConfigError(f"unknown campaign {name!r}; choose from {CAMPAIGN_NAMES}")
+    plans = CAMPAIGNS[name].plan(SplitMix64(cfg.seed), cfg)
     if not plans:
         raise ConfigError(f"campaign {name!r} has no instances under this config")
     tasks = [(name, idx, params) for idx, params in enumerate(plans)]

@@ -17,6 +17,7 @@ from .campaigns import (
     CAMPAIGN_NAMES,
     CampaignConfig,
     ConfigError,
+    random_permutation,
     render_markdown,
     verify_campaign,
 )
@@ -39,6 +40,7 @@ from .geometry import (
 )
 from .graphs import GraphError, SizeLimitError, graph_from_json, graph_to_json
 from .intervals import (
+    _json_pairs,
     find_low_fun_witness,
     interval_rep_from_json,
     interval_rep_to_json,
@@ -52,11 +54,9 @@ from .parameters import (
     sd_pair,
     witness_to_json,
 )
-from .rng import SplitMix64
 
 
-def _emit_json(data: dict, path: str | None) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True)
+def _emit_text(text: str, path: str | None) -> None:
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -64,13 +64,13 @@ def _emit_json(data: dict, path: str | None) -> None:
         print(text)
 
 
+def _emit_json(data: dict, path: str | None) -> None:
+    _emit_text(json.dumps(data, indent=2, sort_keys=True), path)
+
+
 def _load_json(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
-
-
-def _parse_perm(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
 
 
 def _cmd_gen(args) -> int:
@@ -79,10 +79,9 @@ def _cmd_gen(args) -> int:
     elif args.family == "abc":
         perm = None
         if args.perm:
-            perm = _parse_perm(args.perm)
+            perm = tuple(int(x) for x in args.perm.split(","))
         elif args.seed is not None:
-            rng = SplitMix64(args.seed)
-            perm = tuple(rng.shuffle(list(range(1, args.n + 1))))
+            perm = random_permutation(args.n, args.seed)
         g, _ = abc_graph(args.n, perm)
     elif args.family == "gk":
         g, _ = g_k(args.k)
@@ -143,7 +142,9 @@ def _cmd_realize(args) -> int:
         return 0 if report.equal else 1
     if args.kind == "pointbox-r3":
         data = _load_json(args.input)
-        points = [tuple(p) for p in data["points"]]
+        points = _json_pairs(data, "points", "point")
+        if "box_system" not in data:
+            raise GraphError("point-box JSON is missing key 'box_system'")
         bs = box_system_from_json(data["box_system"])
         bs3 = embed_pointbox_r3(points, bs)
         _emit_json(box_system_to_json(bs3), args.output)
@@ -167,14 +168,10 @@ def _cmd_verify(args) -> int:
     )
     report = verify_campaign(args.campaign, cfg, workers=args.workers)
     data = report.to_json()
-    text = render_markdown(data) if cfg.format == "markdown" else json.dumps(
-        data, indent=2, sort_keys=True
-    )
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(text + "\n")
+    if cfg.format == "markdown":
+        _emit_text(render_markdown(data), cfg.output)
     else:
-        print(text)
+        _emit_json(data, cfg.output)
     print(
         f"{report.campaign}: {report.passed}/{len(report.instances)} instances passed",
         file=sys.stderr,
@@ -184,14 +181,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     data = _load_json(args.input)
-    text = render_markdown(data) if args.format == "md" else json.dumps(
-        data, indent=2, sort_keys=True
-    )
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+    if args.format == "md":
+        _emit_text(render_markdown(data), args.output)
     else:
-        print(text)
+        _emit_json(data, args.output)
     return 0
 
 

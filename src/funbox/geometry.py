@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, GraphError, equal_labeled
-from .intervals import IntervalRep, _overlap_rows, graph_from_intervals
+from .graphs import Graph, GraphError, _json_int, _json_labels, equal_labeled
+from .intervals import IntervalRep, _int_pairs, _overlap_rows, graph_from_intervals
 from .parameters import check_abc_partition
 
 
@@ -73,16 +73,23 @@ def box_system_to_json(bs: BoxSystem) -> dict:
 
 
 def box_system_from_json(data: dict) -> BoxSystem:
-    labels = None
-    if data.get("labels"):
-        labels = {int(k): v for k, v in data["labels"].items()}
+    if not isinstance(data, dict):
+        raise GraphError(
+            "box system JSON must be an object with keys 'd', 'scale_denominator', 'boxes'"
+        )
+    for key in ("d", "scale_denominator", "boxes"):
+        if key not in data:
+            raise GraphError(f"box system JSON is missing key {key!r}")
+    if not isinstance(data["boxes"], (list, tuple)):
+        raise GraphError("box system JSON 'boxes' must be a list")
+    boxes = tuple(
+        _int_pairs(box, f"box {idx}", "box side") for idx, box in enumerate(data["boxes"])
+    )
     return BoxSystem(
-        d=int(data["d"]),
-        scale_denominator=int(data["scale_denominator"]),
-        boxes=tuple(
-            tuple((int(lo), int(hi)) for lo, hi in box) for box in data["boxes"]
-        ),
-        labels=labels,
+        d=_json_int(data["d"], "'d'"),
+        scale_denominator=_json_int(data["scale_denominator"], "'scale_denominator'"),
+        boxes=boxes,
+        labels=_json_labels(data, "box system", len(boxes)),
     )
 
 

@@ -175,12 +175,17 @@ def graph_from_json(data: dict) -> Graph:
             raise GraphError(f"duplicate edge ({u},{v})")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    labels = None
-    if data.get("labels"):
-        if not isinstance(data["labels"], dict):
-            raise GraphError("graph JSON 'labels' must be an object")
-        labels = {int(k): v for k, v in data["labels"].items()}
-        for v in labels:
-            if not 0 <= v < n:
-                raise GraphError(f"label for unknown vertex {v}")
-    return Graph(n, rows, labels)
+    return Graph(n, rows, _json_labels(data, "graph", n))
+
+
+def _json_labels(data: dict, what: str, n: int) -> dict[int, str] | None:
+    """Optional ``data["labels"]``, an object keyed by ids 0..n-1, as {id: label}."""
+    if not data.get("labels"):
+        return None
+    if not isinstance(data["labels"], dict):
+        raise GraphError(f"{what} JSON 'labels' must be an object")
+    labels = {int(k): v for k, v in data["labels"].items()}
+    for v in labels:
+        if not 0 <= v < n:
+            raise GraphError(f"{what} JSON has a label for unknown id {v}")
+    return labels

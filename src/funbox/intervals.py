@@ -84,9 +84,13 @@ def _json_pairs(data, key: str, what: str) -> tuple[tuple[int, int], ...]:
         raise GraphError(f"{what} JSON must be an object with key {key!r}")
     if key not in data:
         raise GraphError(f"{what} JSON is missing key {key!r}")
-    items = data[key]
+    return _int_pairs(data[key], f"{what} JSON {key!r}", what)
+
+
+def _int_pairs(items, where: str, what: str) -> tuple[tuple[int, int], ...]:
+    """``items`` as a tuple of integer pairs; GraphError on any other shape."""
     if not isinstance(items, (list, tuple)):
-        raise GraphError(f"{what} JSON {key!r} must be a list")
+        raise GraphError(f"{where} must be a list")
     pairs = []
     for item in items:
         if not isinstance(item, (list, tuple)) or len(item) != 2:

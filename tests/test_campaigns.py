@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -88,14 +90,14 @@ def test_empty_plan_rejected():
 
 @pytest.mark.parametrize("exc_type", [SizeLimitError, RealizationError, AssertionError])
 def test_instance_error_is_recorded(monkeypatch, exc_type):
-    real = campaigns._RUNNERS["gk-sd"]
+    real = campaigns.CAMPAIGNS["gk-sd"]
 
     def flaky(params):
         if params["k"] == 3:
             raise exc_type("boom")
-        return real(params)
+        return real.run(params)
 
-    monkeypatch.setitem(campaigns._RUNNERS, "gk-sd", flaky)
+    monkeypatch.setitem(campaigns.CAMPAIGNS, "gk-sd", replace(real, run=flaky))
     report = verify_campaign("gk-sd", CampaignConfig(sizes=[2, 3]))
     good, bad = report.instances
     assert good["pass"] and "error" not in good["outputs"]
@@ -120,6 +122,35 @@ def test_reports_reproducible(name):
         _strip_timing(r2), sort_keys=True
     )
     assert r1["ok"]
+
+
+# sha256 of each report's to_json() with "seconds" stripped, keys sorted
+PINNED_DIGESTS = {
+    ("lemma-sd", 5, None): "248ad802f5866494100d3adbd3a0a48a50ed4d5485cfe7183989c7e9e721dd1d",
+    ("thm-fun8", 5, None): "9a17f9f42acb3341d49f798228927fed08a44662146b3e9706bd38c10e4f1871",
+    ("gk-sd", 5, None): "d519f2712fc233acc8366781079aef5e0405df4ce1881448ce1b917ef35bea0a",
+    ("hni", 5, None): "2c1e505c5f16c16ef75bf53f976091b53cbdcfe94ce884602ee1051ebbbc5bc9",
+    ("refute", 5, None): "bb1aa60823f6a5fad4b502f3cba9721e774bed735062d86b47d79cddb99f23ab",
+    ("abc-realize", 5, None): "78dcb0c2cf004ff5353f424099064e227f7b9e054a99028591a988d897e8557e",
+    ("fun-sd-bound", 5, None): "3f7c7bea0c141b7d3efb492e0bd8ec362965d43129536094df86b9dc8bc2143e",
+    ("threshold-fun0", 5, None): "df33df95472a0db9486d4863f9b0e06ecd11226371c630b08b2e9417ad943469",
+    ("lemma-sd", 3, (2, 3)): "ee427c0a768f3a88a00bd8fa84aa964620248f5e73ff2163bcadb2bab1467c5f",
+    ("thm-fun8", 3, (2, 3)): "5ad49af7b19140b2064343d9695ea35d247e2c418dc043cdf9ac61041ea29971",
+    ("gk-sd", 3, (2, 3)): "ac60a47ba21b0b433ac462a621027b65944841cd238b0a733fd0c406f59e2f8c",
+    ("hni", 3, (2, 3)): "096179afb5133c39598be334fd44a7ca7352e2784c0719b294149754cf6c464f",
+    ("refute", 3, (2, 3)): "e4d123c7c9311cdb5f3ff2c289a91d211e23ccc3596fbecacfa76a02cfba4c51",
+    ("abc-realize", 3, (2, 3)): "91c924587e81783cdecbb5cc0fcb5dbfd488fe6b44187b2ee3a092f764950e17",
+    ("fun-sd-bound", 3, (2, 3)): "ab2f63edb472a563851f7babf62d666c52621e42202abc079adf63843946e261",
+    ("threshold-fun0", 3, (2, 3)): "0c38d4230bb591897783499c5a15528c3c0059b10d038656b2eada7c65780d94",
+}
+
+
+@pytest.mark.parametrize("name, trials, sizes", list(PINNED_DIGESTS))
+def test_report_digest_pinned(name, trials, sizes):
+    cfg = CampaignConfig(seed=7, trials=trials, sizes=list(sizes) if sizes else None)
+    text = json.dumps(_strip_timing(verify_campaign(name, cfg).to_json()), sort_keys=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == PINNED_DIGESTS[name, trials, sizes]
 
 
 def test_report_independent_of_worker_count():

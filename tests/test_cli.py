@@ -1,9 +1,13 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 import funbox as fb
-from funbox.cli import main
+from funbox.campaigns import CAMPAIGN_NAMES, CAMPAIGNS
+from funbox.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -261,3 +265,50 @@ def test_malformed_config_json_is_2(tmp_path, capsys, payload):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+_BOXES = {"d": 2, "scale_denominator": 1, "boxes": [[[0, 2], [0, 2]]]}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [[1, 1]],
+        {"box_system": _BOXES},
+        {"points": [[1, 1]]},
+        {"points": [[1, 1, 1]], "box_system": _BOXES},
+        {"points": [[1.0, 1]], "box_system": _BOXES},
+        {"points": [[1, 1]], "box_system": [_BOXES]},
+        {"points": [[1, 1]], "box_system": {"d": 2, "scale_denominator": 1}},
+        {"points": [[1, 1]], "box_system": {**_BOXES, "boxes": 5}},
+        {"points": [[1, 1]], "box_system": {**_BOXES, "boxes": [5]}},
+        {"points": [[1, 1]], "box_system": {**_BOXES, "boxes": [[[0, 2]]]}},
+        {"points": [[1, 1]], "box_system": {**_BOXES, "boxes": [[[0, 2, 3], [0, 2]]]}},
+        {"points": [[1, 1]], "box_system": {**_BOXES, "boxes": [[[0.5, 1.9], [1.2, 2.9]]]}},
+        {"points": [[1, 1]], "box_system": {**_BOXES, "boxes": [[[True, 2], [0, 2]]]}},
+        {"points": [[1, 1]], "box_system": {**_BOXES, "boxes": [[["0", 2], [0, 2]]]}},
+        {"points": [[1, 1]], "box_system": {**_BOXES, "d": "2"}},
+        {"points": [[1, 1]], "box_system": {**_BOXES, "scale_denominator": 1.0}},
+        {"points": [[1, 1]], "box_system": {**_BOXES, "labels": [1]}},
+        {"points": [[1, 1]], "box_system": {**_BOXES, "labels": {"1": "B:1"}}},
+    ],
+)
+def test_malformed_box_system_json_is_2(tmp_path, capsys, payload):
+    code = main(["realize", "pointbox-r3", "-i", _json_file(tmp_path, "pb.json", payload)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_readme_campaign_list_matches_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = re.search(r"^Campaigns: (.*?)\.", readme, re.M | re.S).group(1)
+    assert tuple(re.findall(r"`([^`]+)`", paragraph)) == CAMPAIGN_NAMES
+
+
+def test_verify_choices_match_table():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    verify = commands.choices["verify"]
+    campaign = next(a for a in verify._actions if a.dest == "campaign")
+    assert campaign.choices == list(CAMPAIGNS)
