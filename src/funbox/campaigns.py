@@ -38,7 +38,7 @@ from .geometry import (
     realize_abc_intervals,
     realize_pointbox_plane,
 )
-from .graphs import Graph, equal_labeled, from_edge_list, mask_of
+from .graphs import Graph, GraphError, equal_labeled, from_edge_list, mask_of
 from .intervals import (
     IntervalRep,
     check_sd_lemma,
@@ -158,6 +158,31 @@ class CampaignReport:
             },
             "ok": self.ok,
         }
+
+
+_REPORT_KEYS = ("campaign", "version", "config", "ok", "summary", "instances")
+_INSTANCE_KEYS = ("index", "inputs", "outputs", "pass")
+
+
+def report_from_json(data) -> dict:
+    """Check that loaded JSON has the report shape ``render_markdown`` reads."""
+    if not isinstance(data, dict):
+        raise GraphError("report JSON must be an object")
+    for key in _REPORT_KEYS:
+        if key not in data:
+            raise GraphError(f"report JSON is missing key {key!r}")
+    summary = data["summary"]
+    if not isinstance(summary, dict) or not {"passed", "total"} <= summary.keys():
+        raise GraphError("report JSON 'summary' must be an object with 'passed' and 'total'")
+    if not isinstance(data["instances"], list):
+        raise GraphError("report JSON 'instances' must be a list")
+    for i, rec in enumerate(data["instances"]):
+        if not isinstance(rec, dict) or not set(_INSTANCE_KEYS) <= rec.keys():
+            raise GraphError(
+                f"report instance {i} must be an object with keys "
+                "'index', 'inputs', 'outputs' and 'pass'"
+            )
+    return data
 
 
 def render_markdown(report: dict) -> str:

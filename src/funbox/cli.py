@@ -19,6 +19,7 @@ from .campaigns import (
     ConfigError,
     random_permutation,
     render_markdown,
+    report_from_json,
     verify_campaign,
 )
 from .constructions import (
@@ -180,7 +181,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    data = _load_json(args.input)
+    data = report_from_json(_load_json(args.input))
     if args.format == "md":
         _emit_text(render_markdown(data), args.output)
     else:

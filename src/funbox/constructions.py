@@ -79,11 +79,19 @@ def abc_graph(n: int, perm: Sequence[int] | None = None) -> tuple[Graph, Constru
     a_ids = tuple(range(n))
     b_ids = tuple(range(n, 2 * n))
     c_ids = tuple(range(2 * n, 3 * n))
-    edges = _clique_edges(a_ids) + _clique_edges(b_ids) + _clique_edges(c_ids)
+    clique = (1 << n) - 1
+    rows = [0] * (3 * n)
+    b_before = 0  # B bits of b'_1 .. b'_{i-1}
     for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            edges.append((a_ids[i - 1], b_ids[j - 1]))  # a_i ~ b_j iff i < j
-            edges.append((b_ids[perm[i - 1] - 1], c_ids[j - 1]))  # b'_i ~ c_j iff i < j
+        after = clique >> i  # n - i bits: the positions after i
+        k = perm[i - 1]  # b'_i = b_k
+        # a_i: its clique, and b_j for j > i
+        rows[i - 1] = (clique ^ 1 << i - 1) | after << n + i
+        # b_k: a_j for j < k, its clique, and c_j for j > i
+        rows[n + k - 1] = (1 << k - 1) - 1 | (clique ^ 1 << k - 1) << n | after << 2 * n + i
+        # c_i: b'_j for j < i, and its clique
+        rows[2 * n + i - 1] = b_before << n | (clique ^ 1 << i - 1) << 2 * n
+        b_before |= 1 << k - 1
     labels = {}
     vertex_data = {}
     inv = {perm[i - 1]: i for i in range(1, n + 1)}  # b-index -> b'-position
@@ -94,7 +102,7 @@ def abc_graph(n: int, perm: Sequence[int] | None = None) -> tuple[Graph, Constru
         vertex_data[a_ids[i - 1]] = {"part": "A", "index": i}
         vertex_data[b_ids[i - 1]] = {"part": "B", "index": i, "c_side_index": inv[i]}
         vertex_data[c_ids[i - 1]] = {"part": "C", "index": i}
-    g = from_edge_list(3 * n, edges, labels)
+    g = Graph(3 * n, rows, labels)
     meta = ConstructionLabels(
         family="abc",
         parts={

@@ -650,12 +650,18 @@ def recover_half_graph_orders(
         )
     order_x = sorted(x_ids, key=lambda x: -x_deg[x])
     order_y = sorted(y_ids, key=lambda y: y_deg[y])
-    for i, x in enumerate(order_x, start=1):
-        for j, y in enumerate(order_y, start=1):
-            if g.has_edge(x, y) != (i < j):
-                raise GraphError(
-                    f"not a half graph: pair ({x},{y}) violates the order rule"
-                )
+    # the i-th x must see exactly the y's after position i of order_y
+    after = [0] * m
+    for i in range(m - 1, 0, -1):
+        after[i - 1] = after[i] | 1 << order_y[i]
+    for i, x in enumerate(order_x):
+        if g.rows[x] & y_mask != after[i]:
+            y = next(
+                y for j, y in enumerate(order_y) if g.has_edge(x, y) != (i < j)
+            )
+            raise GraphError(
+                f"not a half graph: pair ({x},{y}) violates the order rule"
+            )
     return order_x, order_y
 
 

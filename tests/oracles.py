@@ -2,17 +2,20 @@
 
 The ``naive_*`` functions work from the definitions with plain loops and
 subset enumeration, independent of the bit-row kernels under test. The
-``sweep_*`` and ``listbb_*`` functions are the kernels that the package used
-before: full 2^n subset sweeps and a list-based hitting-set branch and bound.
+``sweep_*``, ``listbb_*``, ``pairloop_*`` and ``edgelist_*`` functions are the
+kernels that the package used before: full 2^n subset sweeps, a list-based
+hitting-set branch and bound, an m x m pair loop checking half-graph orders
+and an ABC graph built from its edge list.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from funbox import Graph, from_edge_list
-from funbox.graphs import bit_ids
-from funbox.parameters import _conflict_requirements
+from funbox import ConstructionLabels, Graph, GraphError, from_edge_list
+from funbox.constructions import _clique_edges
+from funbox.graphs import bit_ids, mask_of
+from funbox.parameters import _conflict_requirements, _degree_collision
 
 
 def adjacent(g: Graph, u: int, v: int) -> bool:
@@ -274,3 +277,97 @@ def naive_incidence_graph(points, bs) -> Graph:
             if all(lo <= c <= hi for c, (lo, hi) in zip(pt, box)):
                 edges.append((pi, np_ + bi))
     return from_edge_list(np_ + len(bs.boxes), edges)
+
+
+# ---------------------------------------------------------------------------
+# Graph row validation from the definition, and the pair loop and edge list
+# replaced by whole-row checks and rows in funbox.parameters/constructions
+# ---------------------------------------------------------------------------
+
+def naive_graph_error(n: int, rows) -> str | None:
+    """The message ``Graph(n, rows)`` raises for n rows, or None if it accepts."""
+    for u, row in enumerate(rows):
+        if not 0 <= row < 1 << n:
+            return f"row {u} has bits outside 0..{n - 1}"
+        if row >> u & 1:
+            return f"self-loop at vertex {u}"
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (rows[u] >> v & 1) != (rows[v] >> u & 1):
+                return f"asymmetric adjacency between {u} and {v}"
+    return None
+
+
+def pairloop_recover_half_graph_orders(g: Graph, xs, ys):
+    x_ids = sorted(set(xs))
+    y_ids = sorted(set(ys))
+    if not x_ids or len(x_ids) != len(y_ids):
+        raise GraphError(
+            f"half-graph sides must be nonempty and equal-sized "
+            f"(got {len(x_ids)} and {len(y_ids)})"
+        )
+    m = len(x_ids)
+    x_mask = mask_of(x_ids, g.n)
+    y_mask = mask_of(y_ids, g.n)
+    if x_mask & y_mask:
+        raise GraphError("half-graph sides must be disjoint")
+    x_deg = {x: (g.rows[x] & y_mask).bit_count() for x in x_ids}
+    y_deg = {y: (g.rows[y] & x_mask).bit_count() for y in y_ids}
+    if sorted(x_deg.values()) != list(range(m)):
+        err = _degree_collision(x_deg)
+        raise GraphError(
+            f"not a half graph: X-side neighborhood sizes must be "
+            f"{{0..{m - 1}}}, got {sorted(x_deg.values())}"
+            + (f"; vertices {err} share a degree" if err else "")
+        )
+    order_x = sorted(x_ids, key=lambda x: -x_deg[x])
+    order_y = sorted(y_ids, key=lambda y: y_deg[y])
+    for i, x in enumerate(order_x, start=1):
+        for j, y in enumerate(order_y, start=1):
+            if g.has_edge(x, y) != (i < j):
+                raise GraphError(
+                    f"not a half graph: pair ({x},{y}) violates the order rule"
+                )
+    return order_x, order_y
+
+
+def edgelist_abc_graph(n: int, perm=None):
+    if n < 1:
+        raise GraphError("abc graph needs n >= 1")
+    if perm is None:
+        perm = tuple(range(1, n + 1))
+    else:
+        perm = tuple(perm)
+        if sorted(perm) != list(range(1, n + 1)):
+            raise GraphError(f"perm must be a permutation of 1..{n}")
+    a_ids = tuple(range(n))
+    b_ids = tuple(range(n, 2 * n))
+    c_ids = tuple(range(2 * n, 3 * n))
+    edges = _clique_edges(a_ids) + _clique_edges(b_ids) + _clique_edges(c_ids)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            edges.append((a_ids[i - 1], b_ids[j - 1]))  # a_i ~ b_j iff i < j
+            edges.append((b_ids[perm[i - 1] - 1], c_ids[j - 1]))  # b'_i ~ c_j iff i < j
+    labels = {}
+    vertex_data = {}
+    inv = {perm[i - 1]: i for i in range(1, n + 1)}  # b-index -> b'-position
+    for i in range(1, n + 1):
+        labels[a_ids[i - 1]] = f"A:{i}"
+        labels[b_ids[i - 1]] = f"B:{i}"
+        labels[c_ids[i - 1]] = f"C:{i}"
+        vertex_data[a_ids[i - 1]] = {"part": "A", "index": i}
+        vertex_data[b_ids[i - 1]] = {"part": "B", "index": i, "c_side_index": inv[i]}
+        vertex_data[c_ids[i - 1]] = {"part": "C", "index": i}
+    g = from_edge_list(3 * n, edges, labels)
+    meta = ConstructionLabels(
+        family="abc",
+        parts={
+            "A": a_ids,
+            "B": b_ids,
+            "C": c_ids,
+            "B_by_c": tuple(b_ids[perm[i - 1] - 1] for i in range(1, n + 1)),
+        },
+        vertex_data=vertex_data,
+        params={"n": n, "perm": perm},
+    )
+    return g, meta

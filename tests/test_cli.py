@@ -312,3 +312,50 @@ def test_verify_choices_match_table():
     verify = commands.choices["verify"]
     campaign = next(a for a in verify._actions if a.dest == "campaign")
     assert campaign.choices == list(CAMPAIGNS)
+
+
+_REPORT = {
+    "campaign": "gk-sd",
+    "version": "0.1.0",
+    "config": {"seed": 1},
+    "ok": True,
+    "summary": {"passed": 1, "total": 1, "failed": 0},
+    "instances": [{"index": 0, "inputs": {"k": 2}, "outputs": {}, "pass": True}],
+}
+_INSTANCE = _REPORT["instances"][0]
+
+
+@pytest.mark.parametrize("fmt", ["md", "json"])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [_REPORT],
+        {k: v for k, v in _REPORT.items() if k != "version"},
+        {**_REPORT, "summary": [1, 1]},
+        {**_REPORT, "summary": {"passed": 1}},
+        {**_REPORT, "instances": {"0": _INSTANCE}},
+        {**_REPORT, "instances": [[0, {}, {}, True]]},
+        {**_REPORT, "instances": [{k: v for k, v in _INSTANCE.items() if k != "pass"}]},
+    ],
+    ids=[
+        "top-level-list",
+        "no-version",
+        "summary-not-object",
+        "summary-without-total",
+        "instances-not-list",
+        "instance-not-object",
+        "instance-without-pass",
+    ],
+)
+def test_malformed_report_is_2(tmp_path, capsys, payload, fmt):
+    code = main(["report", "--in", _json_file(tmp_path, "r.json", payload), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["md", "json"])
+def test_minimal_report_renders(tmp_path, capsys, fmt):
+    path = _json_file(tmp_path, "r.json", _REPORT)
+    code, out = run_cli(capsys, "report", "--in", path, "--format", fmt)
+    assert code == 0 and "gk-sd" in out

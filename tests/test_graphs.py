@@ -109,6 +109,11 @@ def test_graph_rejects_asymmetric_rows():
         fb.Graph(2, [0b10, 0b00])
 
 
+def test_graph_rejects_lower_asymmetric_rows():
+    with pytest.raises(GraphError, match="asymmetric adjacency between 0 and 1"):
+        fb.Graph(2, [0b00, 0b01])
+
+
 @st.composite
 def small_graphs(draw):
     n = draw(st.integers(min_value=1, max_value=12))

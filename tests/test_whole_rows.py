@@ -1,0 +1,119 @@
+"""Whole-row validation against the oracles.
+
+``Graph`` checks symmetry on whole rows, ``recover_half_graph_orders`` checks
+the order rule with one suffix mask per vertex and ``abc_graph`` builds its
+rows from clique and prefix/suffix masks. The definitions, the m x m pair
+loop and the edge-list build they replaced live on in ``oracles``.
+"""
+
+from unittest.mock import patch
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import funbox as fb
+from funbox import graphs
+from funbox.campaigns import random_permutation
+from funbox.graphs import GraphError
+from oracles import (
+    edgelist_abc_graph,
+    naive_graph_error,
+    pairloop_recover_half_graph_orders,
+)
+
+
+@st.composite
+def row_sets(draw):
+    """Symmetric rows with a few bits toggled on one side only.
+
+    A toggled bit lands in either triangle, on the diagonal or above bit
+    n-1; one row may also be made negative.
+    """
+    n = draw(st.integers(0, 12))
+    rows = [0] * n
+    if n:
+        ids = st.integers(0, n - 1)
+        for u, v in draw(st.lists(st.tuples(ids, ids), max_size=40)):
+            if u != v:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        for u, v in draw(st.lists(st.tuples(ids, st.integers(0, n + 2)), max_size=3)):
+            rows[u] ^= 1 << v
+        negate = draw(st.one_of(st.none(), ids))
+        if negate is not None:
+            rows[negate] = ~rows[negate]
+    return n, rows
+
+
+@pytest.mark.parametrize("text_max_n", [graphs._TEXT_MAX_N, 0], ids=["text", "walk"])
+@given(row_sets())
+@settings(max_examples=300, deadline=None)
+def test_graph_validation_matches_definition(text_max_n, case):
+    n, rows = case
+    expected = naive_graph_error(n, rows)
+    with patch.object(graphs, "_TEXT_MAX_N", text_max_n):
+        if expected is None:
+            assert fb.Graph(n, rows).rows == tuple(rows)
+        else:
+            with pytest.raises(GraphError) as exc:
+                fb.Graph(n, rows)
+            assert str(exc.value) == expected
+
+
+def _perm(n, seed):
+    return None if seed == 0 else random_permutation(n, 1000 * seed + n)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_abc_graph_matches_edge_list_build(seed):
+    for n in range(1, 41):
+        g, meta = fb.abc_graph(n, _perm(n, seed))
+        ref, ref_meta = edgelist_abc_graph(n, _perm(n, seed))
+        assert g.rows == ref.rows and g.labels == ref.labels
+        assert meta == ref_meta
+        # one bit off the diagonal toggled on one side is caught and named
+        u, v = (n + seed) % (3 * n), (7 * n + 1) % (3 * n)
+        if u != v:
+            rows = list(g.rows)
+            rows[u] ^= 1 << v
+            with pytest.raises(GraphError) as exc:
+                fb.Graph(3 * n, rows)
+            assert str(exc.value) == naive_graph_error(3 * n, rows)
+
+
+def _toggle(g, pairs):
+    rows = list(g.rows)
+    for x, y in pairs:
+        rows[x] ^= 1 << y
+        rows[y] ^= 1 << x
+    return fb.Graph(g.n, rows, g.labels)
+
+
+def _outcome(recover, g, xs, ys):
+    try:
+        return recover(g, xs, ys)
+    except GraphError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("sides", ["AB", "BC"])
+def test_half_graph_orders_match_pair_loop(sides):
+    """Unchanged, one pair flipped, and one edge moved (x keeps its degree)."""
+    rule_breaks = 0
+    for n in range(1, 13):
+        g, meta = fb.abc_graph(n, _perm(n, 1))
+        xs, ys = meta.parts[sides[0]], meta.parts[sides[1]]
+        cases = [g] + [_toggle(g, [(x, y)]) for x in xs for y in ys]
+        for i, x in enumerate(xs):
+            seen = [y for y in ys if g.has_edge(x, y)]
+            unseen = [y for y in ys if not g.has_edge(x, y)]
+            if seen and unseen:
+                y_off = seen[i % len(seen)]
+                y_on = unseen[(i * 7) % len(unseen)]
+                cases.append(_toggle(g, [(x, y_off), (x, y_on)]))
+        for h in cases:
+            got = _outcome(fb.recover_half_graph_orders, h, xs, ys)
+            assert got == _outcome(pairloop_recover_half_graph_orders, h, xs, ys)
+            rule_breaks += isinstance(got, str) and "order rule" in got
+    assert rule_breaks > 0
