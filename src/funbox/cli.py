@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 
 from . import __version__
 from .campaigns import (
@@ -74,7 +75,27 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+# The JSON edge list costs about 420 bytes per edge, so gen refuses a dense
+# family whose edge count, from its closed form in --n and --k, is larger.
+GEN_MAX_EDGES = 1 << 20
+
+
+def _pairs(m: int) -> int:
+    return comb(max(m, 0), 2)
+
+
+GEN_EDGE_COUNTS = {
+    "half": lambda n, k: _pairs(n),
+    "abc": lambda n, k: 5 * _pairs(n),
+    "gk": lambda n, k: (2 * k + 2) * _pairs(k**3) + _pairs(k**4),
+    "gk-abc": lambda n, k: 5 * _pairs(k**4),
+}
+
+
 def _cmd_gen(args) -> int:
+    edges = GEN_EDGE_COUNTS.get(args.family, lambda n, k: 0)(args.n, args.k)
+    if edges > GEN_MAX_EDGES:
+        raise SizeLimitError(f"gen {args.family} has {edges} edges, over {GEN_MAX_EDGES}")
     if args.family == "half":
         g, _ = half_graph(args.n)
     elif args.family == "abc":

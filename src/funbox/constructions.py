@@ -3,6 +3,9 @@
 Every generator returns a Graph whose per-vertex label strings encode the
 family metadata, plus a ConstructionLabels object holding the same data in
 structured form (part membership, order indices, grid coordinates).
+
+The ABC-type families (three cliques joined by two half graphs: abc_graph,
+g_k, extend_gk_to_abc) are built as rows by one kernel, _triple_rows.
 """
 
 from __future__ import annotations
@@ -58,8 +61,68 @@ def half_graph(n: int) -> tuple[Graph, ConstructionLabels]:
     return g, meta
 
 
-def _clique_edges(ids: Sequence[int]) -> list[tuple[int, int]]:
-    return [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))]
+def _triple_rows(na: int, nc: int, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """Rows of cliques A (na), B (len(xs)) and C (nc), laid out A, B, C.
+
+    Cross edges (1-based i, j): b_t ~ a_i iff i < xs[t], and b_t ~ c_j iff
+    ys[t] < j; no A-C edges. B rows come from clique, prefix and suffix
+    masks; A and C rows from one running OR over the B bits bucketed by x
+    and by y. Needs 1 <= xs[t] <= na and 1 <= ys[t] <= nc.
+    """
+    nb = len(xs)
+    a_clique, b_clique, c_clique = (1 << na) - 1, (1 << nb) - 1, (1 << nc) - 1
+    at_x, at_y = [0] * (na + 1), [0] * (nc + 1)  # B bits by x, by y
+    rows_b = []
+    for t, (x, y) in enumerate(zip(xs, ys)):
+        at_x[x] |= 1 << t
+        at_y[y] |= 1 << t
+        rows_b.append(
+            (1 << x - 1) - 1 | (b_clique ^ 1 << t) << na | (c_clique >> y << y) << na + nb
+        )
+    rows_a = [0] * na
+    above = 0  # B bits with x > i
+    for i in range(na, 0, -1):
+        rows_a[i - 1] = (a_clique ^ 1 << i - 1) | above << na
+        above |= at_x[i]
+    rows_c = []
+    below = 0  # B bits with y < j
+    for j in range(1, nc + 1):
+        rows_c.append(below << na | (c_clique ^ 1 << j - 1) << na + nb)
+        below |= at_y[j]
+    return rows_a + rows_b + rows_c
+
+
+def _abc(xs: Sequence[int], ys: Sequence[int], params: dict) -> tuple[Graph, ConstructionLabels]:
+    """ABC graph on three n-cliques, n = len(xs), from _triple_rows(n, n, xs, ys).
+
+    xs and ys are permutations of 1..n: b_t is ``B:<xs[t]>``, the xs[t]-th
+    vertex of the A-side order (part ``B``) and the ys[t]-th of the C-side
+    order (part ``B_by_c``).
+    """
+    n = len(xs)
+    labels = {}
+    vertex_data = {}
+    for i in range(1, n + 1):
+        labels[i - 1] = f"A:{i}"
+        labels[2 * n + i - 1] = f"C:{i}"
+        vertex_data[i - 1] = {"part": "A", "index": i}
+        vertex_data[2 * n + i - 1] = {"part": "C", "index": i}
+    for t, (x, y) in enumerate(zip(xs, ys)):
+        labels[n + t] = f"B:{x}"
+        vertex_data[n + t] = {"part": "B", "index": x, "c_side_index": y}
+    g = Graph(3 * n, _triple_rows(n, n, xs, ys), labels)
+    meta = ConstructionLabels(
+        family="abc",
+        parts={
+            "A": tuple(range(n)),
+            "B": tuple(n + t for t in sorted(range(n), key=xs.__getitem__)),
+            "C": tuple(range(2 * n, 3 * n)),
+            "B_by_c": tuple(n + t for t in sorted(range(n), key=ys.__getitem__)),
+        },
+        vertex_data=vertex_data,
+        params=params,
+    )
+    return g, meta
 
 
 def abc_graph(n: int, perm: Sequence[int] | None = None) -> tuple[Graph, ConstructionLabels]:
@@ -70,51 +133,11 @@ def abc_graph(n: int, perm: Sequence[int] | None = None) -> tuple[Graph, Constru
     """
     if n < 1:
         raise GraphError("abc graph needs n >= 1")
-    if perm is None:
-        perm = tuple(range(1, n + 1))
-    else:
-        perm = tuple(perm)
-        if sorted(perm) != list(range(1, n + 1)):
-            raise GraphError(f"perm must be a permutation of 1..{n}")
-    a_ids = tuple(range(n))
-    b_ids = tuple(range(n, 2 * n))
-    c_ids = tuple(range(2 * n, 3 * n))
-    clique = (1 << n) - 1
-    rows = [0] * (3 * n)
-    b_before = 0  # B bits of b'_1 .. b'_{i-1}
-    for i in range(1, n + 1):
-        after = clique >> i  # n - i bits: the positions after i
-        k = perm[i - 1]  # b'_i = b_k
-        # a_i: its clique, and b_j for j > i
-        rows[i - 1] = (clique ^ 1 << i - 1) | after << n + i
-        # b_k: a_j for j < k, its clique, and c_j for j > i
-        rows[n + k - 1] = (1 << k - 1) - 1 | (clique ^ 1 << k - 1) << n | after << 2 * n + i
-        # c_i: b'_j for j < i, and its clique
-        rows[2 * n + i - 1] = b_before << n | (clique ^ 1 << i - 1) << 2 * n
-        b_before |= 1 << k - 1
-    labels = {}
-    vertex_data = {}
-    inv = {perm[i - 1]: i for i in range(1, n + 1)}  # b-index -> b'-position
-    for i in range(1, n + 1):
-        labels[a_ids[i - 1]] = f"A:{i}"
-        labels[b_ids[i - 1]] = f"B:{i}"
-        labels[c_ids[i - 1]] = f"C:{i}"
-        vertex_data[a_ids[i - 1]] = {"part": "A", "index": i}
-        vertex_data[b_ids[i - 1]] = {"part": "B", "index": i, "c_side_index": inv[i]}
-        vertex_data[c_ids[i - 1]] = {"part": "C", "index": i}
-    g = Graph(3 * n, rows, labels)
-    meta = ConstructionLabels(
-        family="abc",
-        parts={
-            "A": a_ids,
-            "B": b_ids,
-            "C": c_ids,
-            "B_by_c": tuple(b_ids[perm[i - 1] - 1] for i in range(1, n + 1)),
-        },
-        vertex_data=vertex_data,
-        params={"n": n, "perm": perm},
-    )
-    return g, meta
+    perm = tuple(range(1, n + 1)) if perm is None else tuple(perm)
+    if sorted(perm) != list(range(1, n + 1)):
+        raise GraphError(f"perm must be a permutation of 1..{n}")
+    inv = sorted(range(1, n + 1), key=lambda i: perm[i - 1])  # b_k = b'_{inv[k-1]}
+    return _abc(range(1, n + 1), inv, {"n": n, "perm": perm})
 
 
 def g_k(k: int) -> tuple[Graph, ConstructionLabels]:
@@ -128,43 +151,32 @@ def g_k(k: int) -> tuple[Graph, ConstructionLabels]:
     if k < 2:
         raise GraphError("g_k needs k >= 2")
     t = k ** 3
-    b_count = k ** 4
-    a_ids = tuple(range(t))
-    b_ids = tuple(range(t, t + b_count))
-    c_ids = tuple(range(t + b_count, t + b_count + t))
-    coords = []
-    blocks = []
+    n = 2 * t + k ** 4
+    labels = {}
+    vertex_data = {}
+    for i in range(1, t + 1):
+        labels[i - 1] = f"A:{i}"
+        labels[n - t + i - 1] = f"C:{i}"
+        vertex_data[i - 1] = {"part": "A", "index": i}
+        vertex_data[n - t + i - 1] = {"part": "C", "index": i}
+    bxs, bys = [], []
     for i in range(1, k + 1):
         for j in range(1, k + 1):
             for p in range(1, k + 1):
                 for q in range(k):
                     bx = p * k - q + (i - 1) * k * k
                     by = q * k + p + (j - 1) * k * k
-                    coords.append((bx, by))
-                    blocks.append((i, j, p, q))
-    edges = _clique_edges(a_ids) + _clique_edges(b_ids) + _clique_edges(c_ids)
-    for bi, (bx, by) in enumerate(coords):
-        b = b_ids[bi]
-        for i in range(1, bx):
-            edges.append((a_ids[i - 1], b))
-        for j in range(by + 1, t + 1):
-            edges.append((b, c_ids[j - 1]))
-    labels = {}
-    vertex_data = {}
-    for i in range(1, t + 1):
-        labels[a_ids[i - 1]] = f"A:{i}"
-        labels[c_ids[i - 1]] = f"C:{i}"
-        vertex_data[a_ids[i - 1]] = {"part": "A", "index": i}
-        vertex_data[c_ids[i - 1]] = {"part": "C", "index": i}
-    for bi, (bx, by) in enumerate(coords):
-        b = b_ids[bi]
-        labels[b] = f"B:{bx},{by}"
-        i, j, p, q = blocks[bi]
-        vertex_data[b] = {"part": "B", "bx": bx, "by": by, "block": (i, j), "pq": (p, q)}
-    g = from_edge_list(t + b_count + t, edges, labels)
+                    b = t + len(bxs)
+                    bxs.append(bx)
+                    bys.append(by)
+                    labels[b] = f"B:{bx},{by}"
+                    vertex_data[b] = {
+                        "part": "B", "bx": bx, "by": by, "block": (i, j), "pq": (p, q)
+                    }
+    g = Graph(n, _triple_rows(t, t, bxs, bys), labels)
     meta = ConstructionLabels(
         family="gk",
-        parts={"A": a_ids, "B": b_ids, "C": c_ids},
+        parts={"A": tuple(range(t)), "B": tuple(range(t, n - t)), "C": tuple(range(n - t, n))},
         vertex_data=vertex_data,
         params={"k": k, "t": t},
     )
@@ -184,57 +196,26 @@ def extend_gk_to_abc(
     if meta.family != "gk":
         raise GraphError("extend_gk_to_abc needs g_k labels")
     k = meta.params["k"]
-    t = meta.params["t"]
     big = k ** 4
-    old_a = meta.parts["A"]
     old_b = meta.parts["B"]
-    old_c = meta.parts["C"]
     by_x = sorted(old_b, key=lambda v: (meta.vertex_data[v]["bx"], v))
     by_y = sorted(old_b, key=lambda v: (meta.vertex_data[v]["by"], v))
 
-    # new id layout: A' block 0..big-1 (in half-graph order), then B, then C'
-    new_a = tuple(range(big))
-    new_b = tuple(range(big, 2 * big))
-    new_c = tuple(range(2 * big, 3 * big))
-    b_new_id = {old: new_b[idx] for idx, old in enumerate(old_b)}
-
-    embed: dict[int, int] = dict(b_new_id)
+    # new id layout: A' block 0..big-1 (in half-graph order), then B in the
+    # order of old_b, then C'; a'_r ~ b iff r < b's position in the bx-order,
+    # and b ~ c'_r iff b's position in the by-order < r
+    b_index = {old: idx for idx, old in enumerate(old_b)}
+    x_pos = [0] * big
+    y_pos = [0] * big
+    for pos, (ox, oy) in enumerate(zip(by_x, by_y), 1):
+        x_pos[b_index[ox]] = pos
+        y_pos[b_index[oy]] = pos
+    embed = {old: big + idx for old, idx in b_index.items()}
     # original a_i occupies A'-position k*i; original c_j occupies C'-position k*(j-1)+1
-    for i in range(1, t + 1):
-        embed[old_a[i - 1]] = new_a[k * i - 1]
-        embed[old_c[i - 1]] = new_c[k * (i - 1)]
-
-    edges = _clique_edges(new_a) + _clique_edges(new_b) + _clique_edges(new_c)
-    x_pos = {b_new_id[old]: idx + 1 for idx, old in enumerate(by_x)}
-    y_pos = {b_new_id[old]: idx + 1 for idx, old in enumerate(by_y)}
-    for b in new_b:
-        for r in range(1, x_pos[b]):
-            edges.append((new_a[r - 1], b))  # a'_r ~ b iff r < position in bx-order
-        for r in range(y_pos[b] + 1, big + 1):
-            edges.append((b, new_c[r - 1]))  # b ~ c'_r iff position in by-order < r
-    labels = {}
-    vertex_data = {}
-    for r in range(1, big + 1):
-        labels[new_a[r - 1]] = f"A:{r}"
-        labels[new_c[r - 1]] = f"C:{r}"
-        vertex_data[new_a[r - 1]] = {"part": "A", "index": r}
-        vertex_data[new_c[r - 1]] = {"part": "C", "index": r}
-    for old in old_b:
-        b = b_new_id[old]
-        labels[b] = f"B:{x_pos[b]}"
-        vertex_data[b] = {"part": "B", "index": x_pos[b], "c_side_index": y_pos[b]}
-    out = from_edge_list(3 * big, edges, labels)
-    meta_out = ConstructionLabels(
-        family="abc",
-        parts={
-            "A": new_a,
-            "B": tuple(b_new_id[old] for old in by_x),
-            "C": new_c,
-            "B_by_c": tuple(b_new_id[old] for old in by_y),
-        },
-        vertex_data=vertex_data,
-        params={"n": big, "from_gk": k},
-    )
+    for i, (a, c) in enumerate(zip(meta.parts["A"], meta.parts["C"]), 1):
+        embed[a] = k * i - 1
+        embed[c] = 2 * big + k * (i - 1)
+    out, meta_out = _abc(x_pos, y_pos, {"n": big, "from_gk": k})
     return out, meta_out, embed
 
 

@@ -40,15 +40,6 @@ SD_MAX_N_DEFAULT = 14
 # Witness tables are dense bit vectors of length 2^k; refuse absurd arities.
 TABLE_ARITY_LIMIT = 24
 
-WITNESS_ORIGINS = (
-    "pair-distinguishers",
-    "pair-nondistinguishers",
-    "stripe-case1",
-    "stripe-case2",
-    "small-n",
-    "exhaustive",
-)
-
 
 class PremiseViolation(GraphError):
     """A refutation was requested on a graph violating its premises.

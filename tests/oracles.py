@@ -4,8 +4,8 @@ The ``naive_*`` functions work from the definitions with plain loops and
 subset enumeration, independent of the bit-row kernels under test. The
 ``sweep_*``, ``listbb_*``, ``pairloop_*`` and ``edgelist_*`` functions are the
 kernels that the package used before: full 2^n subset sweeps, a list-based
-hitting-set branch and bound, an m x m pair loop checking half-graph orders
-and an ABC graph built from its edge list.
+hitting-set branch and bound, an m x m pair loop checking half-graph orders,
+and the ABC graph, g_k and its ABC extension built from their edge lists.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 
 from funbox import ConstructionLabels, Graph, GraphError, from_edge_list
-from funbox.constructions import _clique_edges
 from funbox.graphs import bit_ids, mask_of
 from funbox.parameters import _conflict_requirements, _degree_collision
 
@@ -331,6 +330,24 @@ def pairloop_recover_half_graph_orders(g: Graph, xs, ys):
     return order_x, order_y
 
 
+def _clique_edges(ids) -> list[tuple[int, int]]:
+    return [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))]
+
+
+def naive_triple_rows(na: int, nc: int, xs, ys) -> list[int]:
+    """Cliques A, B, C (na, len(xs), nc); b_t ~ a_i iff i < xs[t], b_t ~ c_j iff ys[t] < j."""
+    nb = len(xs)
+    a, b, c = range(na), range(na, na + nb), range(na + nb, na + nb + nc)
+    edges = _clique_edges(a) + _clique_edges(b) + _clique_edges(c)
+    edges += [(a[i - 1], b[t]) for t in range(nb) for i in range(1, na + 1) if i < xs[t]]
+    edges += [(b[t], c[j - 1]) for t in range(nb) for j in range(1, nc + 1) if ys[t] < j]
+    rows = [0] * (na + nb + nc)
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
 def edgelist_abc_graph(n: int, perm=None):
     if n < 1:
         raise GraphError("abc graph needs n >= 1")
@@ -371,3 +388,110 @@ def edgelist_abc_graph(n: int, perm=None):
         params={"n": n, "perm": perm},
     )
     return g, meta
+
+
+def edgelist_g_k(k: int) -> tuple[Graph, ConstructionLabels]:
+    if k < 2:
+        raise GraphError("g_k needs k >= 2")
+    t = k ** 3
+    b_count = k ** 4
+    a_ids = tuple(range(t))
+    b_ids = tuple(range(t, t + b_count))
+    c_ids = tuple(range(t + b_count, t + b_count + t))
+    coords = []
+    blocks = []
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            for p in range(1, k + 1):
+                for q in range(k):
+                    bx = p * k - q + (i - 1) * k * k
+                    by = q * k + p + (j - 1) * k * k
+                    coords.append((bx, by))
+                    blocks.append((i, j, p, q))
+    edges = _clique_edges(a_ids) + _clique_edges(b_ids) + _clique_edges(c_ids)
+    for bi, (bx, by) in enumerate(coords):
+        b = b_ids[bi]
+        for i in range(1, bx):
+            edges.append((a_ids[i - 1], b))
+        for j in range(by + 1, t + 1):
+            edges.append((b, c_ids[j - 1]))
+    labels = {}
+    vertex_data = {}
+    for i in range(1, t + 1):
+        labels[a_ids[i - 1]] = f"A:{i}"
+        labels[c_ids[i - 1]] = f"C:{i}"
+        vertex_data[a_ids[i - 1]] = {"part": "A", "index": i}
+        vertex_data[c_ids[i - 1]] = {"part": "C", "index": i}
+    for bi, (bx, by) in enumerate(coords):
+        b = b_ids[bi]
+        labels[b] = f"B:{bx},{by}"
+        i, j, p, q = blocks[bi]
+        vertex_data[b] = {"part": "B", "bx": bx, "by": by, "block": (i, j), "pq": (p, q)}
+    g = from_edge_list(t + b_count + t, edges, labels)
+    meta = ConstructionLabels(
+        family="gk",
+        parts={"A": a_ids, "B": b_ids, "C": c_ids},
+        vertex_data=vertex_data,
+        params={"k": k, "t": t},
+    )
+    return g, meta
+
+
+def edgelist_extend_gk_to_abc(
+    g: Graph, meta: ConstructionLabels
+) -> tuple[Graph, ConstructionLabels, dict[int, int]]:
+    if meta.family != "gk":
+        raise GraphError("extend_gk_to_abc needs g_k labels")
+    k = meta.params["k"]
+    t = meta.params["t"]
+    big = k ** 4
+    old_a = meta.parts["A"]
+    old_b = meta.parts["B"]
+    old_c = meta.parts["C"]
+    by_x = sorted(old_b, key=lambda v: (meta.vertex_data[v]["bx"], v))
+    by_y = sorted(old_b, key=lambda v: (meta.vertex_data[v]["by"], v))
+
+    # new id layout: A' block 0..big-1 (in half-graph order), then B, then C'
+    new_a = tuple(range(big))
+    new_b = tuple(range(big, 2 * big))
+    new_c = tuple(range(2 * big, 3 * big))
+    b_new_id = {old: new_b[idx] for idx, old in enumerate(old_b)}
+
+    embed: dict[int, int] = dict(b_new_id)
+    # original a_i occupies A'-position k*i; original c_j occupies C'-position k*(j-1)+1
+    for i in range(1, t + 1):
+        embed[old_a[i - 1]] = new_a[k * i - 1]
+        embed[old_c[i - 1]] = new_c[k * (i - 1)]
+
+    edges = _clique_edges(new_a) + _clique_edges(new_b) + _clique_edges(new_c)
+    x_pos = {b_new_id[old]: idx + 1 for idx, old in enumerate(by_x)}
+    y_pos = {b_new_id[old]: idx + 1 for idx, old in enumerate(by_y)}
+    for b in new_b:
+        for r in range(1, x_pos[b]):
+            edges.append((new_a[r - 1], b))  # a'_r ~ b iff r < position in bx-order
+        for r in range(y_pos[b] + 1, big + 1):
+            edges.append((b, new_c[r - 1]))  # b ~ c'_r iff position in by-order < r
+    labels = {}
+    vertex_data = {}
+    for r in range(1, big + 1):
+        labels[new_a[r - 1]] = f"A:{r}"
+        labels[new_c[r - 1]] = f"C:{r}"
+        vertex_data[new_a[r - 1]] = {"part": "A", "index": r}
+        vertex_data[new_c[r - 1]] = {"part": "C", "index": r}
+    for old in old_b:
+        b = b_new_id[old]
+        labels[b] = f"B:{x_pos[b]}"
+        vertex_data[b] = {"part": "B", "index": x_pos[b], "c_side_index": y_pos[b]}
+    out = from_edge_list(3 * big, edges, labels)
+    meta_out = ConstructionLabels(
+        family="abc",
+        parts={
+            "A": new_a,
+            "B": tuple(b_new_id[old] for old in by_x),
+            "C": new_c,
+            "B_by_c": tuple(b_new_id[old] for old in by_y),
+        },
+        vertex_data=vertex_data,
+        params={"n": big, "from_gk": k},
+    )
+    return out, meta_out, embed

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 import funbox as fb
-from funbox.campaigns import CAMPAIGN_NAMES, CAMPAIGNS
-from funbox.cli import build_parser, main
+from funbox.campaigns import CAMPAIGN_NAMES, CAMPAIGNS, random_permutation
+from funbox.cli import GEN_EDGE_COUNTS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -211,6 +211,9 @@ def _json_file(tmp_path, name, payload):
         lambda t: ["witness", "interval", "-i", _json_file(t, "r.json", [[0, 1], [1, 2]])],
         lambda t: ["verify", "hni", "--config", _json_file(t, "c.json", {"sizes": 3})],
         lambda t: ["verify", "gk-sd", "--sizes", "1"],
+        lambda t: ["gen", "abc", "--n", "1000"],
+        lambda t: ["gen", "gk-abc", "--k", "6"],
+        lambda t: ["gen", "half", "--n", "2000"],
     ],
     ids=[
         "fun-graph-over-guard",
@@ -219,6 +222,9 @@ def _json_file(tmp_path, name, payload):
         "interval-json-top-level-list",
         "config-sizes-not-a-list",
         "gk-sd-k-below-2",
+        "gen-abc-over-edge-limit",
+        "gen-gk-abc-over-edge-limit",
+        "gen-half-over-edge-limit",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, make_argv):
@@ -312,6 +318,28 @@ def test_verify_choices_match_table():
     verify = commands.choices["verify"]
     campaign = next(a for a in verify._actions if a.dest == "campaign")
     assert campaign.choices == list(CAMPAIGNS)
+
+
+def _gen_families():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in commands.choices["gen"]._actions if a.dest == "family").choices
+
+
+def test_readme_gen_usage_matches_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = re.search(r"^funbox gen \{([^}]*)\}", readme, re.M).group(1).split("|")
+    assert listed == _gen_families()
+
+
+def test_gen_edge_guard_closed_forms_match_built_graphs():
+    assert set(GEN_EDGE_COUNTS) < set(_gen_families())
+    built = [("half", n, 0, fb.half_graph(n)[0]) for n in range(1, 9)]
+    built += [("abc", n, 0, fb.abc_graph(n, random_permutation(n, n))[0]) for n in range(1, 9)]
+    built += [("gk", 0, k, fb.g_k(k)[0]) for k in (2, 3, 4)]
+    built += [("gk-abc", 0, k, fb.extend_gk_to_abc(*fb.g_k(k))[0]) for k in (2, 3)]
+    for family, n, k, g in built:
+        assert GEN_EDGE_COUNTS[family](n, k) == g.edge_count(), (family, n, k)
 
 
 _REPORT = {

@@ -1,24 +1,31 @@
 """Whole-row validation against the oracles.
 
-``Graph`` checks symmetry on whole rows, ``recover_half_graph_orders`` checks
-the order rule with one suffix mask per vertex and ``abc_graph`` builds its
-rows from clique and prefix/suffix masks. The definitions, the m x m pair
-loop and the edge-list build they replaced live on in ``oracles``.
+``Graph`` checks symmetry on whole rows, and ``recover_half_graph_orders``
+checks the order rule with one suffix mask per vertex. ``abc_graph``, ``g_k``
+and ``extend_gk_to_abc`` build their rows with one kernel, ``_triple_rows``,
+from clique and prefix/suffix masks; the kernel is checked against the plain
+edge definition on small random cliques and positions, and each generator
+against the edge-list build it replaced. The definitions, the m x m pair loop
+and the edge-list builds live on in ``oracles``.
 """
 
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import funbox as fb
 from funbox import graphs
 from funbox.campaigns import random_permutation
+from funbox.constructions import _triple_rows
 from funbox.graphs import GraphError
 from oracles import (
     edgelist_abc_graph,
+    edgelist_extend_gk_to_abc,
+    edgelist_g_k,
     naive_graph_error,
+    naive_triple_rows,
     pairloop_recover_half_graph_orders,
 )
 
@@ -80,6 +87,45 @@ def test_abc_graph_matches_edge_list_build(seed):
             with pytest.raises(GraphError) as exc:
                 fb.Graph(3 * n, rows)
             assert str(exc.value) == naive_graph_error(3 * n, rows)
+
+
+@st.composite
+def triples(draw):
+    """Clique sizes na, nc in 1..8 and up to 8 B vertices at x in 1..na, y in 1..nc.
+
+    The ends of both ranges are drawn as often as all inner values together.
+    """
+    na, nc = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+
+    def position(top):
+        return st.one_of(st.sampled_from([1, top]), st.integers(1, top))
+
+    xs = draw(st.lists(position(na), max_size=8))
+    ys = draw(st.lists(position(nc), min_size=len(xs), max_size=len(xs)))
+    return na, nc, xs, ys
+
+
+@given(triples())
+@example((8, 8, [8] * 8, [1] * 8))  # the most cross edges the ranges allow
+@example((8, 8, [1] * 8, [8] * 8))  # no cross edges
+@example((1, 1, [], []))
+@settings(max_examples=300, deadline=None)
+def test_triple_rows_match_definition(case):
+    na, nc, xs, ys = case
+    assert _triple_rows(na, nc, xs, ys) == naive_triple_rows(na, nc, xs, ys)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_gk_and_extension_match_edge_list_builds(k):
+    g, meta = fb.g_k(k)
+    ref, ref_meta = edgelist_g_k(k)
+    assert g.rows == ref.rows and list(g.labels.items()) == list(ref.labels.items())
+    assert meta == ref_meta
+    big, big_meta, embed = fb.extend_gk_to_abc(g, meta)
+    ref_big, ref_big_meta, ref_embed = edgelist_extend_gk_to_abc(ref, ref_meta)
+    assert big.rows == ref_big.rows
+    assert list(big.labels.items()) == list(ref_big.labels.items())
+    assert big_meta == ref_big_meta and embed == ref_embed
 
 
 def _toggle(g, pairs):
