@@ -57,7 +57,6 @@ from .parameters import (
     is_function_of,
     is_threshold,
     refute_function,
-    sd_pair,
     witness_is_valid,
 )
 from .rng import SplitMix64
@@ -374,11 +373,11 @@ def _instance_fun_sd_bound(params: dict) -> tuple[dict, bool]:
             checks["deg_bounds"] = False
     for x in range(n):
         for y in range(x + 1, n):
-            d = sd_pair(g, x, y)
-            if funs[x] > d + 1 or funs[y] > d + 1:
-                checks["sd_bound"] = False
             keep = g.full_mask & ~(1 << x) & ~(1 << y)
             rx, ry = g.rows[x] & keep, g.rows[y] & keep
+            d = (rx ^ ry).bit_count()
+            if funs[x] > d + 1 or funs[y] > d + 1:
+                checks["sd_bound"] = False
             if rx == ry and d != 0:
                 checks["twins"] = False
             if rx ^ ry == keep and d != n - 2:

@@ -38,28 +38,42 @@ def mask_of(ids: Iterable[int], n: int) -> int:
 
 # Comparing the text costs about as much as walking n*n/32 + 2n set bits
 # (timed on G(n, p), n = 3..2000), so sparser rows are walked; _TEXT_MAX_N
-# bounds the three n*n-character strings the comparison holds.
+# bounds each string a band comparison holds to _TEXT_MAX_N**2 characters.
 _TEXT_MAX_N = 2048
 
 
 def _rows_symmetric(rows: tuple[int, ...]) -> bool:
     """Whether in-range, irreflexive bit rows equal their transpose.
 
-    Dense rows are compared as text: the rows, last first, written as
-    n-character binary lines make one n*n text that is the adjacency matrix
-    reflected in both axes, so the rows are symmetric exactly when the text
-    equals its transpose, read off as the n column slices ``text[j::n]``.
-    Sparse rows (and n above ``_TEXT_MAX_N``) walk the bits above the
-    diagonal instead: each needs its mirror below, and the mirrors are
-    distinct, so the rows are symmetric exactly when the mirrors are all the
-    bits below the diagonal.
+    Dense rows are compared as text, one band of rows [b0, b1) at a time.
+    The band's rows, last first, written as n-character binary lines make a
+    text whose lines are those rows reflected; the bits b0..b1-1 of every
+    row, last row first, written as (b1 - b0)-character lines, make a text
+    whose column slices ``text[j::b1 - b0]`` are the columns b1-1, ..., b0
+    written the same way. The rows are symmetric exactly when in every band
+    the two agree. Bands hold ``_TEXT_MAX_N**2 // n`` rows, so with
+    n <= ``_TEXT_MAX_N`` one band covers the whole matrix.
+    Sparse rows (and n above ``_TEXT_MAX_N**2``, where a band would hold no
+    row) walk the bits above the diagonal instead: each needs its mirror
+    below, and the mirrors are distinct, so the rows are symmetric exactly
+    when the mirrors are all the bits below the diagonal.
     """
     n = len(rows)
     bits = sum(row.bit_count() for row in rows)
-    if n <= _TEXT_MAX_N and bits * 32 > n * (n + 64):
-        fmt = f"0{n}b"
-        text = "".join([format(row, fmt) for row in reversed(rows)])
-        return "".join([text[j::n] for j in range(n)]) == text
+    band = min(n, _TEXT_MAX_N ** 2 // n) if n else 0
+    if band and bits * 32 > n * (n + 64):
+        line = f"0{n}b"
+        for b0 in range(0, n, band):
+            h = min(band, n - b0)
+            lines = "".join([format(row, line) for row in reversed(rows[b0 : b0 + h])])
+            sel, fmt = (1 << h) - 1, f"0{h}b"
+            # a single band's columns are the whole matrix: the same text
+            cols = lines if h == n else "".join(
+                [format(row >> b0 & sel, fmt) for row in reversed(rows)]
+            )
+            if "".join([cols[j::h] for j in range(h)]) != lines:
+                return False
+        return True
     upper = 0
     for u, row in enumerate(rows):
         above = row >> u << u

@@ -21,6 +21,13 @@ The per-vertex minimum is solved as a minimum hitting set over conflict
 pairs: for every pair (z, z') with different adjacency to y, the argument
 set must contain z, z', or a vertex distinguishing them. The kernel works
 on the transposed instance, one requirement-index mask per vertex.
+
+Checking a given argument list works on classes, not vertices:
+``_profile_classes`` splits the vertices outside S + {y} by each argument
+row in turn (partition refinement, as in Paige and Tarjan, "Three partition
+refinement algorithms", 1987), and y is a function of S exactly when each
+class lies inside N(y) or misses it. The table of a witness has bit m set
+for the class of profile m that meets N(y).
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from functools import partial, reduce
 from operator import or_
 from typing import Iterable
 
-from .graphs import Graph, GraphError, SizeLimitError, bit_ids, mask_of
+from .graphs import Graph, GraphError, SizeLimitError, _json_int, bit_ids, mask_of
 
 FUN_MAX_N_DEFAULT = 12
 SD_MAX_N_DEFAULT = 14
@@ -88,8 +95,21 @@ def witness_to_json(w: Witness) -> dict:
 
 
 def witness_from_json(data: dict) -> Witness:
-    bits = data["table_bits"]
-    args = tuple(data["args"])
+    if not isinstance(data, dict):
+        raise GraphError(
+            "witness JSON must be an object with keys 'target', 'args', "
+            "'table_bits' and 'origin'"
+        )
+    for key in ("target", "args", "table_bits", "origin"):
+        if key not in data:
+            raise GraphError(f"witness JSON is missing key {key!r}")
+    target = _json_int(data["target"], "witness 'target'")
+    if not isinstance(data["args"], list):
+        raise GraphError("witness JSON 'args' must be a list")
+    args = tuple(_json_int(a, "witness argument") for a in data["args"])
+    bits, origin = data["table_bits"], data["origin"]
+    if not isinstance(bits, str) or not isinstance(origin, str):
+        raise GraphError("witness JSON 'table_bits' and 'origin' must be strings")
     if len(bits) != 1 << len(args):
         raise GraphError("table_bits length must be 2^len(args)")
     table = 0
@@ -98,26 +118,40 @@ def witness_from_json(data: dict) -> Witness:
             table |= 1 << m
         elif ch != "0":
             raise GraphError("table_bits must be a 0/1 string")
-    return Witness(data["target"], args, table, data["origin"])
+    return Witness(target, args, table, origin)
 
 
-def _profile(rows, args: tuple[int, ...], z: int) -> int:
-    row = rows[z]
-    m = 0
+def _profile_classes(rows, args, rest: int) -> list[tuple[int, int]]:
+    """The vertices of ``rest`` grouped by their adjacency profile to ``args``.
+
+    Returns the nonempty classes as (profile, mask), where bit i of the
+    profile is adjacency to args[i]: ``rest`` is split by each argument row
+    in turn, so there are at most min(2^k, |rest|) classes.
+    """
+    classes = [(0, rest)] if rest else []
     for idx, a in enumerate(args):
-        if row >> a & 1:
-            m |= 1 << idx
-    return m
+        r = rows[a]
+        bit = 1 << idx
+        split = []
+        for m, c in classes:
+            inside = c & r
+            if inside != c:
+                split.append((m, c ^ inside))
+            if inside:
+                split.append((m | bit, inside))
+        classes = split
+    return classes
 
 
 def witness_is_valid(g: Graph, w: Witness) -> bool:
     """Check the defining property against every vertex outside args+target."""
+    _check_vertex(g, w.target, "target")
     if w.target in w.args or len(set(w.args)) != len(w.args):
         return False
     skip = (1 << w.target) | mask_of(w.args, g.n)
     trow = g.rows[w.target]
-    for z in bit_ids(g.full_mask & ~skip):
-        if w.predict(_profile(g.rows, w.args, z)) != (trow >> z & 1):
+    for m, c in _profile_classes(g.rows, w.args, g.full_mask & ~skip):
+        if c & (~trow if w.table >> m & 1 else trow):
             return False
     return True
 
@@ -241,19 +275,19 @@ def is_function_of(g: Graph, y: int, args: Iterable[int]):
     s_mask = mask_of(s_tuple, g.n)
     if s_mask >> y & 1:
         raise GraphError(f"target {y} may not appear in the argument set")
-    rows = g.rows
-    trow = rows[y]
-    seen: dict[int, tuple[int, int]] = {}
-    for z in bit_ids(g.full_mask & ~s_mask & ~(1 << y)):
-        m = _profile(rows, s_tuple, z)
-        a = trow >> z & 1
-        if m in seen:
-            z0, a0 = seen[m]
-            if a0 != a:
-                return False, (z0, z)
-        else:
-            seen[m] = (z, a)
-    return True, None
+    trow = g.rows[y]
+    # the first conflict of a scan in id order: in each class holding both
+    # adjacencies, z0 is its lowest vertex and z its lowest vertex of the
+    # other adjacency; the class with the least z comes first
+    pair = None
+    for _, c in _profile_classes(g.rows, s_tuple, g.full_mask & ~s_mask & ~(1 << y)):
+        if c & trow and c & ~trow:
+            z0 = c & -c
+            other = c & (~trow if z0 & trow else trow)
+            z = (other & -other).bit_length() - 1
+            if pair is None or z < pair[1]:
+                pair = (z0.bit_length() - 1, z)
+    return pair is None, pair
 
 
 def _conflict_requirements(rows, universe: int, y: int) -> list[int]:
@@ -375,9 +409,9 @@ def _witness_from_args(g: Graph, y: int, args: list[int], origin: str) -> Witnes
     skip = (1 << y) | mask_of(args_t, g.n)
     table = 0
     trow = g.rows[y]
-    for z in bit_ids(g.full_mask & ~skip):
-        if trow >> z & 1:
-            table |= 1 << _profile(g.rows, args_t, z)
+    for m, c in _profile_classes(g.rows, args_t, g.full_mask & ~skip):
+        if c & trow:
+            table |= 1 << m
     return _emit(g, Witness(y, args_t, table, origin))
 
 

@@ -2,19 +2,29 @@
 
 The ``naive_*`` functions work from the definitions with plain loops and
 subset enumeration, independent of the bit-row kernels under test. The
-``sweep_*``, ``listbb_*``, ``pairloop_*`` and ``edgelist_*`` functions are the
-kernels that the package used before: full 2^n subset sweeps, a list-based
-hitting-set branch and bound, an m x m pair loop checking half-graph orders,
-and the ABC graph, g_k and its ABC extension built from their edge lists.
+``sweep_*``, ``listbb_*``, ``pairloop_*``, ``edgelist_*`` and ``profileloop_*``
+functions are the kernels that the package used before: full 2^n subset
+sweeps, a list-based hitting-set branch and bound, an m x m pair loop
+checking half-graph orders, a pair loop checking the sd lemma with one
+``sd_pair`` and ``manhattan`` call per pair, the ABC graph, g_k and its ABC
+extension built from their edge lists, and witness checks that compute each
+vertex's profile with a loop over the arguments.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from funbox import ConstructionLabels, Graph, GraphError, from_edge_list
+from funbox import ConstructionLabels, Graph, GraphError, from_edge_list, intervals
 from funbox.graphs import bit_ids, mask_of
-from funbox.parameters import _conflict_requirements, _degree_collision
+from funbox.intervals import SdLemmaReport, manhattan
+from funbox.parameters import (
+    Witness,
+    _check_vertex,
+    _conflict_requirements,
+    _degree_collision,
+    sd_pair,
+)
 
 
 def adjacent(g: Graph, u: int, v: int) -> bool:
@@ -495,3 +505,82 @@ def edgelist_extend_gk_to_abc(
         params={"n": big, "from_gk": k},
     )
     return out, meta_out, embed
+
+
+# ---------------------------------------------------------------------------
+# per-vertex profile loops and the per-pair sd lemma loop replaced by
+# profile classes and inline row XORs in funbox.parameters/intervals
+# ---------------------------------------------------------------------------
+
+def _profile(rows, args: tuple[int, ...], z: int) -> int:
+    row = rows[z]
+    m = 0
+    for idx, a in enumerate(args):
+        if row >> a & 1:
+            m |= 1 << idx
+    return m
+
+
+def profileloop_witness_is_valid(g: Graph, w: Witness) -> bool:
+    """Check the defining property against every vertex outside args+target."""
+    if w.target in w.args or len(set(w.args)) != len(w.args):
+        return False
+    skip = (1 << w.target) | mask_of(w.args, g.n)
+    trow = g.rows[w.target]
+    for z in bit_ids(g.full_mask & ~skip):
+        if w.predict(_profile(g.rows, w.args, z)) != (trow >> z & 1):
+            return False
+    return True
+
+
+def profileloop_is_function_of(g: Graph, y: int, args):
+    """Decide whether y's adjacency outside S+{y} is determined by S-profiles.
+
+    Returns (True, None), or (False, (z, z')) with the first conflicting pair:
+    equal profiles on S but different adjacency to y.
+    """
+    _check_vertex(g, y, "y")
+    s_tuple = tuple(sorted(set(args)))
+    s_mask = mask_of(s_tuple, g.n)
+    if s_mask >> y & 1:
+        raise GraphError(f"target {y} may not appear in the argument set")
+    rows = g.rows
+    trow = rows[y]
+    seen: dict[int, tuple[int, int]] = {}
+    for z in bit_ids(g.full_mask & ~s_mask & ~(1 << y)):
+        m = _profile(rows, s_tuple, z)
+        a = trow >> z & 1
+        if m in seen:
+            z0, a0 = seen[m]
+            if a0 != a:
+                return False, (z0, z)
+        else:
+            seen[m] = (z, a)
+    return True, None
+
+
+def profileloop_witness_table(g: Graph, y: int, args) -> int:
+    """The table ``_witness_from_args`` builds for y on ``args``, unvalidated."""
+    args_t = tuple(args)
+    skip = (1 << y) | mask_of(args_t, g.n)
+    table = 0
+    trow = g.rows[y]
+    for z in bit_ids(g.full_mask & ~skip):
+        if trow >> z & 1:
+            table |= 1 << _profile(g.rows, args_t, z)
+    return table
+
+
+def pairloop_check_sd_lemma(rep) -> SdLemmaReport:
+    """Assert sd(u, v) <= Manhattan(u, v) - 2 for every vertex pair."""
+    g = intervals.graph_from_points(rep)
+    pts = rep.points
+    checked = 0
+    for u in range(rep.n):
+        for v in range(u + 1, rep.n):
+            checked += 1
+            d = sd_pair(g, u, v)
+            dist = manhattan(pts[u], pts[v])
+            if d > dist - 2:
+                return SdLemmaReport(checked, (u, v, d, dist))
+    return SdLemmaReport(checked, None)

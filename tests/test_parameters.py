@@ -243,6 +243,47 @@ def test_witness_json_round_trip():
     assert witness_from_json(data) == w
 
 
+@pytest.mark.parametrize("target", [9, -1])
+def test_witness_is_valid_rejects_out_of_range_target(target):
+    w = fb.Witness(target, (0, 1), 0, "test")
+    with pytest.raises(GraphError, match="out of range"):
+        fb.witness_is_valid(C5, w)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [],
+        {"args": [1], "table_bits": "01", "origin": "x"},
+        {"target": 0, "args": 5, "table_bits": "01", "origin": "x"},
+        {"target": "a", "args": [1], "table_bits": "01", "origin": "x"},
+        {"target": True, "args": [1], "table_bits": "01", "origin": "x"},
+        {"target": 0, "args": [1.0], "table_bits": "01", "origin": "x"},
+        {"target": 0, "args": [False], "table_bits": "01", "origin": "x"},
+        {"target": 0, "args": [1], "table_bits": 1, "origin": "x"},
+        {"target": 0, "args": [1], "table_bits": "01", "origin": None},
+        {"target": 0, "args": [1], "table_bits": "01"},
+    ],
+    ids=[
+        "top-level-list",
+        "missing-target",
+        "args-not-list",
+        "target-string",
+        "target-bool",
+        "arg-float",
+        "arg-bool",
+        "table-bits-int",
+        "origin-none",
+        "missing-origin",
+    ],
+)
+def test_witness_from_json_rejects_bad_shapes(data):
+    from funbox.parameters import witness_from_json
+
+    with pytest.raises(GraphError):
+        witness_from_json(data)
+
+
 # ---------------------------------------------------------------- structure_scan
 
 def test_structure_scan_c4():

@@ -9,6 +9,7 @@ against the edge-list build it replaced. The definitions, the m x m pair loop
 and the edge-list builds live on in ``oracles``.
 """
 
+import itertools
 from unittest.mock import patch
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import funbox as fb
 from funbox import graphs
-from funbox.campaigns import random_permutation
+from funbox.campaigns import random_graph, random_permutation
 from funbox.constructions import _triple_rows
 from funbox.graphs import GraphError
 from oracles import (
@@ -57,7 +58,10 @@ def row_sets(draw):
 @given(row_sets())
 @settings(max_examples=300, deadline=None)
 def test_graph_validation_matches_definition(text_max_n, case):
-    n, rows = case
+    _check_validation(text_max_n, *case)
+
+
+def _check_validation(text_max_n, n, rows):
     expected = naive_graph_error(n, rows)
     with patch.object(graphs, "_TEXT_MAX_N", text_max_n):
         if expected is None:
@@ -66,6 +70,27 @@ def test_graph_validation_matches_definition(text_max_n, case):
             with pytest.raises(GraphError) as exc:
                 fb.Graph(n, rows)
             assert str(exc.value) == expected
+
+
+# with n * n > _TEXT_MAX_N**2, dense rows are compared in bands of
+# _TEXT_MAX_N**2 // n rows: 1 to 4 rows here, the last band often shorter
+@pytest.mark.parametrize("text_max_n", [1, 2, 3, 7])
+@given(row_sets())
+@settings(max_examples=300, deadline=None)
+def test_banded_validation_matches_definition(text_max_n, case):
+    _check_validation(text_max_n, *case)
+
+
+@pytest.mark.parametrize("text_max_n", [1, 2, 3, 7])
+def test_banded_validation_on_dense_rows(text_max_n):
+    """G(n, 3/4) as it is and with each off-diagonal bit toggled on one side."""
+    for n in range(1, 13):
+        g = random_graph(n, 3, 4, n)
+        _check_validation(text_max_n, n, list(g.rows))
+        for u, v in itertools.permutations(range(n), 2):
+            rows = list(g.rows)
+            rows[u] ^= 1 << v
+            _check_validation(text_max_n, n, rows)
 
 
 def _perm(n, seed):
