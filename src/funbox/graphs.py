@@ -237,12 +237,29 @@ def graph_from_json(data: dict) -> Graph:
 
 def _json_labels(data: dict, what: str, n: int) -> dict[int, str] | None:
     """Optional ``data["labels"]``, an object keyed by ids 0..n-1, as {id: label}."""
-    if not data.get("labels"):
+    given = data.get("labels")
+    if given is None or given == {}:
         return None
-    if not isinstance(data["labels"], dict):
+    if not isinstance(given, dict):
         raise GraphError(f"{what} JSON 'labels' must be an object")
-    labels = {int(k): v for k, v in data["labels"].items()}
-    for v in labels:
-        if not 0 <= v < n:
+    labels = {}
+    for key, label in given.items():
+        # keys as graph_to_json writes them: decimal ids with no sign, space,
+        # underscore or leading zero, and no longer than n (so int() is cheap)
+        if not (
+            isinstance(key, str)
+            and key.isascii()
+            and key.isdigit()
+            and len(key) <= len(str(n))
+            and str(int(key)) == key
+        ):
+            raise GraphError(f"{what} JSON 'labels' key {key!r} is not a vertex id")
+        v = int(key)
+        if v >= n:
             raise GraphError(f"{what} JSON has a label for unknown id {v}")
+        if not isinstance(label, str):
+            raise GraphError(
+                f"{what} JSON 'labels' entry {key!r} must be a string, got {label!r}"
+            )
+        labels[v] = label
     return labels

@@ -20,7 +20,15 @@ visiting all 2^n subsets. Both rest on one lemma each:
 The per-vertex minimum is solved as a minimum hitting set over conflict
 pairs: for every pair (z, z') with different adjacency to y, the argument
 set must contain z, z', or a vertex distinguishing them. The kernel works
-on the transposed instance, one requirement-index mask per vertex.
+on the transposed instance, one requirement-index mask per vertex, and
+searches hitter lists: it branches on the lowest pending requirement and
+tries the vertices of that requirement in id order, taking the list from a
+per-instance cache that is filled the first time the requirement is
+branched on. Lists hold whole covers, and a vertex that fails is excluded
+through a ``tried`` mask, so a failure holds whatever search asked (see
+``_hit``): the k-search, the least-lexicographic reconstruction and the
+witness search of ``fun_graph`` share one cache. No lower bound cuts a
+node before it branches; ``_hit`` says why.
 
 Checking a given argument list works on classes, not vertices:
 ``_profile_classes`` splits the vertices outside S + {y} by each argument
@@ -35,10 +43,10 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from functools import partial, reduce
-from operator import or_
+from functools import partial
 from typing import Iterable
 
+from . import graphs
 from .graphs import Graph, GraphError, SizeLimitError, _json_int, bit_ids, mask_of
 
 FUN_MAX_N_DEFAULT = 12
@@ -290,83 +298,113 @@ def is_function_of(g: Graph, y: int, args: Iterable[int]):
     return pair is None, pair
 
 
-def _conflict_requirements(rows, universe: int, y: int) -> list[int]:
-    """Requirement masks: every valid argument set must hit each of them."""
-    others = universe & ~(1 << y)
-    ay = rows[y]
-    pos = [z for z in bit_ids(others) if ay >> z & 1]
-    neg = [z for z in bit_ids(others) if not ay >> z & 1]
-    reqs = set()
-    for z in pos:
-        rz = rows[z]
-        bz = 1 << z
-        for w in neg:
-            reqs.add(((rz ^ rows[w]) | bz | (1 << w)) & others)
-    return sorted(reqs, key=int.bit_count)
+class _Hitters(dict):
+    """Requirement bit -> the elements hitting that requirement.
+
+    Each list holds (1 << e, cover[e]) for the elements e of the requirement,
+    in increasing id order, and is built the first time its bit is looked
+    up. ``cover[e]`` is the mask of every requirement bit e hits, pending or
+    not, so no list depends on the search that asks for it and one cache
+    serves every search on the same system.
+    """
+
+    __slots__ = ("reqs", "cover")
+
+    def __init__(self, reqs: list[int], cover: list[int]):
+        super().__init__()
+        self.reqs = reqs
+        self.cover = cover
+
+    def __missing__(self, low: int) -> list[tuple[int, int]]:
+        cover = self.cover
+        pairs = self[low] = [
+            (1 << e, cover[e]) for e in bit_ids(self.reqs[low.bit_length() - 1])
+        ]
+        return pairs
 
 
-def _arg_system(rows, universe: int, y: int) -> tuple[list[tuple[int, int]], int]:
+def _arg_system(rows, universe: int, y: int) -> tuple[int, _Hitters]:
     """y's argument sets inside ``universe`` as a transposed hitting-set instance.
 
-    Returns (cands, need): ``need`` has one bit per conflict requirement, and
-    ``cands`` lists, in increasing id order, each vertex e that hits some
-    requirement as (e, mask of the requirement indices e hits).
+    For z ~ y and w !~ y in ``universe``, every argument set holds z, w or a
+    vertex telling them apart; that vertex mask is a requirement. Returns
+    (need, hitters): ``need`` has one bit per distinct requirement, the
+    smaller requirements at the lower bits, and ``hitters.cover[e]`` is the
+    mask of the requirement bits vertex e hits.
     """
-    reqs = _conflict_requirements(rows, universe, y)
-    # transpose the bit matrix whose row i is reqs[i] through binary strings:
-    # column j of the strings (most significant bit first) is vertex width-1-j
+    others = universe & ~(1 << y)
+    ay = rows[y]
+    pos = [(rows[z] & others, 1 << z) for z in bit_ids(others & ay)]
+    neg = [(rows[w] & others, 1 << w) for w in bit_ids(others & ~ay)]
+    reqs = sorted({(a ^ b) | bz | bw for a, bz in pos for b, bw in neg}, key=int.bit_count)
+    # transpose: in the text of requirements i0.. written last first as
+    # width-character lines, the slice text[j::width] is column width-1-j,
+    # the requirement bits of vertex width-1-j read from bit i0 up; bands of
+    # _TEXT_MAX_N**2 characters bound the text, as in graphs._rows_symmetric
     width = universe.bit_length()
-    lines = [format(r, f"0{width}b") for r in reversed(reqs)]
-    cover = [int("".join(col), 2) for col in zip(*lines)][::-1]
-    return [(e, c) for e, c in enumerate(cover) if c], (1 << len(reqs)) - 1
+    band = max(1, graphs._TEXT_MAX_N ** 2 // width)
+    line = f"0{width}b"
+    cover = [0] * width
+    for i0 in range(0, len(reqs), band):
+        text = "".join([format(r, line) for r in reversed(reqs[i0 : i0 + band])])
+        for j in range(width):
+            cover[width - 1 - j] |= int(text[j::width], 2) << i0
+    return (1 << len(reqs)) - 1, _Hitters(reqs, cover)
 
 
-def _hit(cands: list[tuple[int, int]], need: int, budget: int):
-    """At most ``budget`` candidates hitting every requirement in ``need``.
+def _hit(need: int, budget: int, hitters: _Hitters, tried: int = 0):
+    """At most ``budget`` elements outside ``tried`` hitting every bit of ``need``.
 
-    ``need`` is a mask of requirement indices and ``cands`` lists each usable
-    element as (e, mask of the pending requirements e hits), nonzero masks
-    only. Returns the chosen elements as a mask, or None when no such set
-    exists.
+    ``need`` is a mask of requirement bits, ``hitters`` the system's cache of
+    hitter lists and ``tried`` a vertex mask. Returns the chosen elements as
+    a vertex mask, or None when no such set exists.
 
-    A node is cut when the candidates miss a pending requirement, or when
-    ``budget`` elements of the largest coverage cannot reach them all. It
-    branches on the pending requirement of lowest index, the smallest one
-    at the start since ``_conflict_requirements`` sorts by size; an element
-    already tried is left out of the later branches.
+    The search branches on the lowest pending requirement, the smallest at
+    the start, and tries its hitters in id order; a hitter that fails is
+    added to ``tried`` for the later branches, since every set holding it
+    was just ruled out. So a failure is absolute: None means that no set of
+    at most ``budget`` elements outside ``tried`` hits ``need``, whichever
+    search asked, and the k-search, the lexicographic reconstruction and
+    ``_fun_branch`` share one cache and pass their exclusions as ``tried``.
+
+    Nothing is cut before branching. A reach bound (every pending
+    requirement keeps an untried hitter) and a coverage bound (``budget``
+    elements of the largest cover can cover all that is pending) cost a
+    rebuilt candidate list and two scans at every node, and on G(32, 1/2)
+    and small random and interval graphs the reach bound never cut above
+    budget 1 and the coverage bound cut under 1% of the nodes at budgets
+    2 and 3. At budget 1 the loop below is the exact test, and a
+    requirement left without an untried hitter fails as soon as it is the
+    lowest pending one.
     """
     if not need:
         return 0
     if budget <= 0:
         return None
-    hits = [c for _, c in cands]
-    size = need.bit_count()
-    if reduce(or_, hits, 0) != need:
+    pairs = hitters[need & -need]
+    if budget == 1:
+        for b, c in pairs:
+            if not need & ~c and not tried & b:
+                return b
         return None
-    top = max(map(int.bit_count, hits))
-    if top * budget < size:
-        return None
-    if top == size:
-        return next(1 << e for e, c in cands if c == need)
-    # no single element suffices, so budget >= 2 here
-    low = need & -need
     if budget == 2:
-        # a second element must hit everything the first one leaves
-        misses = [~c for c in hits]
-        for e, c in cands:
-            if c & low:
+        # one hitter of the rest must cover all of it: the budget-1 loop inline
+        for b, c in pairs:
+            if not tried & b:
                 rest = need & ~c
-                if 0 in map(rest.__and__, misses):
-                    return 1 << e | next(1 << f for f, d in cands if d & rest == rest)
+                if not rest:
+                    return b
+                for b2, c2 in hitters[rest & -rest]:
+                    if not rest & ~c2 and not tried & b2:
+                        return b | b2
+                tried |= b
         return None
-    pool = cands
-    for e, c in cands:
-        if c & low:
-            pool = [p for p in pool if p[0] != e]
-            rest = need & ~c
-            sub = _hit([(f, d & rest) for f, d in pool if d & rest], rest, budget - 1)
+    for b, c in pairs:
+        if not tried & b:
+            sub = _hit(need & ~c, budget - 1, hitters, tried)
             if sub is not None:
-                return sub | 1 << e
+                return sub | b
+            tried |= b
     return None
 
 
@@ -376,25 +414,37 @@ def _min_args(rows, universe: int, y: int) -> tuple[int, list[int]]:
     Returns (k, ids) with ids the lexicographically least minimum set
     (ordered as a sorted id list), matching naive subset enumeration.
     """
-    cands, need = _arg_system(rows, universe, y)
+    need, hitters = _arg_system(rows, universe, y)
     if not need:
         return 0, []
     others = universe & ~(1 << y)
     nbrs = rows[y] & others
-    ub = min(nbrs.bit_count(), (others & ~nbrs).bit_count())
-    k = next(b for b in range(1, ub + 1) if _hit(cands, need, b) is not None)
-    chosen: list[int] = []
-    for slot in range(k):
-        budget = k - slot - 1
-        for i, (e, c) in enumerate(cands):
-            rest = need & ~c
-            later = [(f, d & rest) for f, d in cands[i + 1:] if d & rest]
-            if _hit(later, rest, budget) is not None:
-                chosen.append(e)
-                need, cands = rest, later
-                break
-        else:
-            raise AssertionError("hitting-set reconstruction failed")
+    # N(y) itself is an argument set, so the search stops by this budget
+    for k in range(1, min(nbrs.bit_count(), (others & ~nbrs).bit_count()) + 1):
+        known = _hit(need, k, hitters)
+        if known is not None:
+            break
+    # slot by slot, take the least e above the last choice that a set of the
+    # remaining size above e completes. ``known`` is always such a completion,
+    # so its least element needs no test, and an element hitting nothing
+    # pending would make a smaller set, so it is skipped.
+    cover = hitters.cover
+    chosen = []
+    e = 0
+    for budget in range(k - 1, -1, -1):
+        first = (known & -known).bit_length() - 1
+        while e < first:
+            c = cover[e]
+            if c & need:
+                sub = _hit(need & ~c, budget, hitters, (2 << e) - 1)
+                if sub is not None:
+                    known = sub | 1 << e
+                    break
+            e += 1
+        chosen.append(e)
+        need &= ~cover[e]
+        known &= ~(1 << e)
+        e += 1
     return k, chosen
 
 
@@ -464,20 +514,20 @@ def _fun_branch(rows, mask: int, best: int) -> tuple[int, int]:
             return best, 1 << x | 1 << y
     systems = []
     for v in bit_ids(mask):
-        cands, need = _arg_system(rows, mask, v)
-        args = _hit(cands, need, best)
+        need, hitters = _arg_system(rows, mask, v)
+        args = _hit(need, best, hitters)
         if args is not None:
             return best, args | 1 << v
-        systems.append((v, cands, need))
+        systems.append((v, need, hitters))
     # every vertex needs more than `best` arguments: find the exact minimum
     low = None
-    for v, cands, need in systems:
+    for v, need, hitters in systems:
         deg = (rows[v] & mask).bit_count()
         hi = min(deg, m - 1 - deg)
         if low is not None:
             hi = min(hi, low - 1)
         for b in range(best + 1, hi + 1):
-            args = _hit(cands, need, b)
+            args = _hit(need, b, hitters)
             if args is not None:
                 low, branch = b, args | 1 << v
                 break
@@ -572,19 +622,31 @@ def _cached_triangle_free(g: Graph) -> bool:
     return g._cache["triangle_free"]
 
 
+def _k2p_free(rows, p: int) -> bool:
+    """Whether no two vertices have ``p`` or more common neighbours.
+
+    For each u, the rows of u's neighbours, without u, go into saturating
+    bit-sliced counters: once a row is added, bit v of ``level[i]`` is set
+    iff at least i + 1 of the rows added so far hold v, so v shares that
+    many neighbours with u. The scan stops at the first bit of the top level.
+    """
+    for u, ru in enumerate(rows):
+        keep = ~(1 << u)
+        level = [0] * p
+        for w in bit_ids(ru):
+            r = rows[w] & keep
+            for i in range(p - 1, 0, -1):
+                level[i] |= level[i - 1] & r
+            level[0] |= r
+            if level[-1]:
+                return False
+    return True
+
+
 def _cached_k2p_free(g: Graph, p: int) -> bool:
     key = ("k2p_free", p)
     if key not in g._cache:
-        ok = True
-        for u in range(g.n):
-            ru = g.rows[u]
-            for v in range(u + 1, g.n):
-                if (ru & g.rows[v]).bit_count() >= p:
-                    ok = False
-                    break
-            if not ok:
-                break
-        g._cache[key] = ok
+        g._cache[key] = _k2p_free(g.rows, p)
     return g._cache[key]
 
 

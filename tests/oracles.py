@@ -2,18 +2,23 @@
 
 The ``naive_*`` functions work from the definitions with plain loops and
 subset enumeration, independent of the bit-row kernels under test. The
-``sweep_*``, ``listbb_*``, ``pairloop_*``, ``edgelist_*`` and ``profileloop_*``
-functions are the kernels that the package used before: full 2^n subset
-sweeps, a list-based hitting-set branch and bound, an m x m pair loop
-checking half-graph orders, a pair loop checking the sd lemma with one
-``sd_pair`` and ``manhattan`` call per pair, the ABC graph, g_k and its ABC
-extension built from their edge lists, and witness checks that compute each
-vertex's profile with a loop over the arguments.
+``sweep_*``, ``listbb_*``, ``restricted_*``, ``pairloop_*``, ``edgelist_*``
+and ``profileloop_*`` functions are the kernels that the package used
+before: full 2^n subset sweeps, a list-based hitting-set branch and bound,
+a transposed hitting-set kernel that rebuilds its candidate list restricted
+to the pending requirements at every node, an m x m pair loop checking
+half-graph orders, a pair loop checking the sd lemma with one ``sd_pair``
+and ``manhattan`` call per pair, an n x n pair loop testing K_{2,p}-freeness,
+the ABC graph, g_k and its ABC extension built from their edge lists, and
+witness checks that compute each vertex's profile with a loop over the
+arguments.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from operator import or_
 
 from funbox import ConstructionLabels, Graph, GraphError, from_edge_list, intervals
 from funbox.graphs import bit_ids, mask_of
@@ -21,7 +26,6 @@ from funbox.intervals import SdLemmaReport, manhattan
 from funbox.parameters import (
     Witness,
     _check_vertex,
-    _conflict_requirements,
     _degree_collision,
     sd_pair,
 )
@@ -159,7 +163,7 @@ def _listbb_hittable(reqs: list[int], budget: int, allowed: int) -> bool:
 
 def listbb_min_args(rows, universe: int, y: int) -> tuple[int, list[int]]:
     """Minimum argument set for y inside ``universe``, lexicographically least."""
-    reqs = _conflict_requirements(rows, universe, y)
+    reqs = restricted_conflict_requirements(rows, universe, y)
     if not reqs:
         return 0, []
     others = universe & ~(1 << y)
@@ -211,7 +215,7 @@ def sweep_fun_graph(g: Graph) -> int:
         reqs_by_y: dict[int, list[int]] = {}
         some_feasible = False
         for y in verts:
-            reqs_by_y[y] = _conflict_requirements(rows, mask, y)
+            reqs_by_y[y] = restricted_conflict_requirements(rows, mask, y)
             if _listbb_hittable(reqs_by_y[y], best, mask & ~(1 << y)):
                 some_feasible = True
                 break
@@ -584,3 +588,132 @@ def pairloop_check_sd_lemma(rep) -> SdLemmaReport:
             if d > dist - 2:
                 return SdLemmaReport(checked, (u, v, d, dist))
     return SdLemmaReport(checked, None)
+
+
+# ---------------------------------------------------------------------------
+# the restricted-list hitting-set kernel replaced by per-requirement hitter
+# lists in funbox.parameters: every node rebuilds its candidate list
+# restricted to the pending requirements
+# ---------------------------------------------------------------------------
+
+def restricted_conflict_requirements(rows, universe: int, y: int) -> list[int]:
+    """Requirement masks: every valid argument set must hit each of them."""
+    others = universe & ~(1 << y)
+    ay = rows[y]
+    pos = [z for z in bit_ids(others) if ay >> z & 1]
+    neg = [z for z in bit_ids(others) if not ay >> z & 1]
+    reqs = set()
+    for z in pos:
+        rz = rows[z]
+        bz = 1 << z
+        for w in neg:
+            reqs.add(((rz ^ rows[w]) | bz | (1 << w)) & others)
+    return sorted(reqs, key=int.bit_count)
+
+
+def restricted_arg_system(rows, universe: int, y: int) -> tuple[list[tuple[int, int]], int]:
+    """y's argument sets inside ``universe`` as a transposed hitting-set instance.
+
+    Returns (cands, need): ``need`` has one bit per conflict requirement, and
+    ``cands`` lists, in increasing id order, each vertex e that hits some
+    requirement as (e, mask of the requirement indices e hits).
+    """
+    reqs = restricted_conflict_requirements(rows, universe, y)
+    # transpose the bit matrix whose row i is reqs[i] through binary strings:
+    # column j of the strings (most significant bit first) is vertex width-1-j
+    width = universe.bit_length()
+    lines = [format(r, f"0{width}b") for r in reversed(reqs)]
+    cover = [int("".join(col), 2) for col in zip(*lines)][::-1]
+    return [(e, c) for e, c in enumerate(cover) if c], (1 << len(reqs)) - 1
+
+
+def restricted_hit(cands: list[tuple[int, int]], need: int, budget: int):
+    """At most ``budget`` candidates hitting every requirement in ``need``.
+
+    ``need`` is a mask of requirement indices and ``cands`` lists each usable
+    element as (e, mask of the pending requirements e hits), nonzero masks
+    only. Returns the chosen elements as a mask, or None when no such set
+    exists.
+
+    A node is cut when the candidates miss a pending requirement, or when
+    ``budget`` elements of the largest coverage cannot reach them all. It
+    branches on the pending requirement of lowest index, the smallest one
+    at the start since ``restricted_conflict_requirements`` sorts by size; an
+    element already tried is left out of the later branches.
+    """
+    if not need:
+        return 0
+    if budget <= 0:
+        return None
+    hits = [c for _, c in cands]
+    size = need.bit_count()
+    if reduce(or_, hits, 0) != need:
+        return None
+    top = max(map(int.bit_count, hits))
+    if top * budget < size:
+        return None
+    if top == size:
+        return next(1 << e for e, c in cands if c == need)
+    # no single element suffices, so budget >= 2 here
+    low = need & -need
+    if budget == 2:
+        # a second element must hit everything the first one leaves
+        misses = [~c for c in hits]
+        for e, c in cands:
+            if c & low:
+                rest = need & ~c
+                if 0 in map(rest.__and__, misses):
+                    return 1 << e | next(1 << f for f, d in cands if d & rest == rest)
+        return None
+    pool = cands
+    for e, c in cands:
+        if c & low:
+            pool = [p for p in pool if p[0] != e]
+            rest = need & ~c
+            sub = restricted_hit([(f, d & rest) for f, d in pool if d & rest], rest, budget - 1)
+            if sub is not None:
+                return sub | 1 << e
+    return None
+
+
+def restricted_min_args(rows, universe: int, y: int) -> tuple[int, list[int]]:
+    """Exact minimum argument set for y inside ``universe``.
+
+    Returns (k, ids) with ids the lexicographically least minimum set
+    (ordered as a sorted id list), matching naive subset enumeration.
+    """
+    cands, need = restricted_arg_system(rows, universe, y)
+    if not need:
+        return 0, []
+    others = universe & ~(1 << y)
+    nbrs = rows[y] & others
+    ub = min(nbrs.bit_count(), (others & ~nbrs).bit_count())
+    k = next(b for b in range(1, ub + 1) if restricted_hit(cands, need, b) is not None)
+    chosen: list[int] = []
+    for slot in range(k):
+        budget = k - slot - 1
+        for i, (e, c) in enumerate(cands):
+            rest = need & ~c
+            later = [(f, d & rest) for f, d in cands[i + 1:] if d & rest]
+            if restricted_hit(later, rest, budget) is not None:
+                chosen.append(e)
+                need, cands = rest, later
+                break
+        else:
+            raise AssertionError("hitting-set reconstruction failed")
+    return k, chosen
+
+
+# ---------------------------------------------------------------------------
+# the pair loop replaced by bit-sliced common-neighbour counters in
+# funbox.parameters._cached_k2p_free
+# ---------------------------------------------------------------------------
+
+def pairloop_k2p_free(g: Graph, p: int) -> bool:
+    """No two vertices share ``p`` or more neighbours, pair by pair."""
+    for u in range(g.n):
+        ru = g.rows[u]
+        for v in range(u + 1, g.n):
+            if (ru & g.rows[v]).bit_count() >= p:
+                return False
+    return True

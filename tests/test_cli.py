@@ -202,6 +202,10 @@ def _json_file(tmp_path, name, payload):
     return str(path)
 
 
+def _labeled_graph(key, label):
+    return {"n": 2, "edges": [[0, 1]], "labels": {str(key): label}}
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [
@@ -214,6 +218,8 @@ def _json_file(tmp_path, name, payload):
         lambda t: ["gen", "abc", "--n", "1000"],
         lambda t: ["gen", "gk-abc", "--k", "6"],
         lambda t: ["gen", "half", "--n", "2000"],
+        lambda t: ["compute", "fun-graph", "-i", _json_file(t, "g.json", _labeled_graph(1, 5))],
+        lambda t: ["compute", "fun-graph", "-i", _json_file(t, "g.json", _labeled_graph("a", "x"))],
     ],
     ids=[
         "fun-graph-over-guard",
@@ -225,6 +231,8 @@ def _json_file(tmp_path, name, payload):
         "gen-abc-over-edge-limit",
         "gen-gk-abc-over-edge-limit",
         "gen-half-over-edge-limit",
+        "graph-label-not-a-string",
+        "graph-label-key-not-an-id",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, make_argv):

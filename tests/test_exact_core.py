@@ -1,23 +1,31 @@
 """The branching searches and the transposed hitting-set kernel against oracles.
 
 ``sd_graph`` and ``fun_graph`` branch on witnesses and ``fun_vertex`` runs on
-the transposed hitting-set kernel; the full subset sweeps and the list-based
-kernel they replaced live on in ``oracles`` as references.
+the transposed hitting-set kernel, which searches per-requirement hitter
+lists; the full subset sweeps, the list-based kernel and the kernel that
+rebuilt restricted candidate lists at every node live on in ``oracles`` as
+references.
 """
 
 import itertools
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import funbox as fb
+from funbox import graphs
 from funbox.campaigns import random_graph, random_interval_rep
-from funbox.parameters import _min_pair_sd
+from funbox.graphs import bit_ids
+from funbox.parameters import _arg_system, _hit, _Hitters, _min_args, _min_pair_sd
 from funbox.rng import SplitMix64
 from oracles import (
     listbb_min_args,
     naive_fun_graph,
     naive_sd_graph,
     naive_sd_pair,
+    restricted_min_args,
     sweep_fun_graph,
     sweep_sd_graph,
 )
@@ -78,3 +86,124 @@ def test_min_pair_sd_is_least_or_enough_and_reached():
         assert d == least or least <= d <= enough
         assert x != y and mask >> x & 1 and mask >> y & 1
         assert ((g.rows[x] ^ g.rows[y]) & mask & ~(1 << x | 1 << y)).bit_count() == d
+
+
+# ---------------------------------------------------------------- hitter lists
+
+@st.composite
+def kernel_graphs(draw):
+    """G(n, p) with n <= 24 and p in {1/4, 1/2, 3/4}, or an interval graph."""
+    n = draw(st.integers(1, 24))
+    seed = draw(st.integers(0, 2**64 - 1))
+    if draw(st.booleans()):
+        return fb.graph_from_intervals(random_interval_rep(n, seed, draw(st.integers(2, 60))))
+    return random_graph(n, draw(st.sampled_from([1, 2, 3])), 4, seed)
+
+
+def _check_min_args(g, y):
+    got = _min_args(g.rows, g.full_mask, y)
+    assert got == restricted_min_args(g.rows, g.full_mask, y)
+    assert got == listbb_min_args(g.rows, g.full_mask, y)
+
+
+@given(kernel_graphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_min_args_matches_restricted_and_list_kernels(g, data):
+    _check_min_args(g, data.draw(st.integers(0, g.n - 1)))
+
+
+@pytest.mark.parametrize(
+    "family, samples",
+    [
+        (lambda: fb.point_box_incidence(4, 4), 8),
+        (lambda: fb.hypercube(4), None),
+        (lambda: fb.g_k(2), None),
+    ],
+    ids=["H44", "Q4", "gk2"],
+)
+def test_min_args_matches_restricted_and_list_kernels_on_families(family, samples):
+    g, _ = family()
+    if samples is None:
+        ys = range(g.n)
+    else:
+        # the first vertex of each side plus seeded draws
+        rng = SplitMix64(340)
+        ys = [0, g.n - 1] + [rng.below(g.n) for _ in range(samples - 2)]
+    for y in ys:
+        _check_min_args(g, y)
+
+
+@st.composite
+def hitting_instances(draw):
+    """Up to 8 nonempty requirements over at most 10 elements, a pending
+    subset of them, and a mask of elements already tried."""
+    elems = draw(st.integers(1, 10))
+    reqs = draw(st.lists(st.integers(1, (1 << elems) - 1), max_size=8))
+    need = draw(st.integers(0, (1 << len(reqs)) - 1))
+    tried = draw(st.integers(0, (1 << elems) - 1))
+    return elems, reqs, need, tried
+
+
+def _brute_hittable(elems, reqs, need, budget, tried):
+    pending = [r for i, r in enumerate(reqs) if need >> i & 1]
+    free = [e for e in range(elems) if not tried >> e & 1]
+    return any(
+        all(r & sum(1 << e for e in s) for r in pending)
+        for size in range(min(budget, len(free)) + 1)
+        for s in itertools.combinations(free, size)
+    )
+
+
+def _hitters_of(elems, reqs):
+    cover = [sum(1 << i for i, r in enumerate(reqs) if r >> e & 1) for e in range(elems)]
+    return _Hitters(reqs, cover)
+
+
+@given(hitting_instances())
+@settings(max_examples=400, deadline=None)
+def test_hit_matches_subset_enumeration(case):
+    elems, reqs, need, tried = case
+    hitters = _hitters_of(elems, reqs)
+    for mask in (0, tried):
+        for budget in range(elems + 2):
+            got = _hit(need, budget, hitters, mask)
+            assert (got is not None) == _brute_hittable(elems, reqs, need, budget, mask)
+            if got is not None:
+                assert got.bit_count() <= budget and not got & mask
+                assert all(r & got for i, r in enumerate(reqs) if need >> i & 1)
+
+
+def test_hit_matches_subset_enumeration_on_argument_systems():
+    rng = SplitMix64(350)
+    for _ in range(150):
+        n = 2 + rng.below(10)
+        g = random_graph(n, 1 + rng.below(3), 4, rng.next_u64())
+        y = rng.below(n)
+        need, hitters = _arg_system(g.rows, g.full_mask, y)
+        tried = rng.below(1 << n) & ~(1 << y)
+        for budget in range(n):
+            got = _hit(need, budget, hitters, tried)
+            assert (got is not None) == _brute_hittable(n, hitters.reqs, need, budget, tried)
+
+
+@given(kernel_graphs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_banded_transpose_matches_one_band(g, data):
+    y = data.draw(st.integers(0, g.n - 1))
+    need, hitters = _arg_system(g.rows, g.full_mask, y)
+    assert need == (1 << len(hitters.reqs)) - 1
+    for e in range(g.n):
+        assert hitters.cover[e] == sum(
+            1 << i for i, r in enumerate(hitters.reqs) if r >> e & 1
+        )
+    for text_max_n in (1, 2, 7):
+        with patch.object(graphs, "_TEXT_MAX_N", text_max_n):
+            banded_need, banded = _arg_system(g.rows, g.full_mask, y)
+        assert (banded_need, banded.reqs, banded.cover) == (need, hitters.reqs, hitters.cover)
+
+
+def test_hitter_lists_hold_each_requirements_elements():
+    g = random_graph(12, 1, 2, 360)
+    need, hitters = _arg_system(g.rows, g.full_mask, 0)
+    for i, r in enumerate(hitters.reqs):
+        assert hitters[1 << i] == [(1 << e, hitters.cover[e]) for e in bit_ids(r)]

@@ -97,11 +97,35 @@ def test_json_rejects_duplicate_edges():
         {"n": 2, "edges": [[0, 1, 1]]},
         {"n": 2, "edges": {"0": 1}},
         {"n": 2, "edges": [], "labels": ["A:1"]},
+        {"n": 2, "edges": [], "labels": []},
+        {"n": 2, "edges": [], "labels": 0},
+        {"n": 2, "edges": [], "labels": ""},
     ],
 )
 def test_json_rejects_malformed_input(data):
     with pytest.raises(GraphError):
         fb.graph_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ({"0": 5}, "'labels' entry '0' must be a string, got 5"),
+        ({"0": "A:1", "1": [1, 2]}, "'labels' entry '1' must be a string, got [1, 2]"),
+        ({"a": "A:1"}, "'labels' key 'a' is not a vertex id"),
+        ({"01": "A:1"}, "'labels' key '01' is not a vertex id"),
+        ({"-1": "A:1"}, "'labels' key '-1' is not a vertex id"),
+        ({" 1": "A:1"}, "'labels' key ' 1' is not a vertex id"),
+        ({"1_0": "A:1"}, "'labels' key '1_0' is not a vertex id"),
+        ({0: "A:1"}, "'labels' key 0 is not a vertex id"),
+        ({"2": "A:1"}, "label for unknown id 2"),
+        ({"1" * 5000: "A:1"}, "is not a vertex id"),
+    ],
+)
+def test_json_labels_must_be_strings_keyed_by_ids(labels, message):
+    with pytest.raises(GraphError) as err:
+        fb.graph_from_json({"n": 2, "edges": [[0, 1]], "labels": labels})
+    assert message in str(err.value)
 
 
 def test_graph_rejects_asymmetric_rows():

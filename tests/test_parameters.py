@@ -5,9 +5,14 @@ import pytest
 import funbox as fb
 from funbox.campaigns import random_graph
 from funbox.graphs import GraphError, SizeLimitError
-from funbox.parameters import _conflict_requirements
+from funbox.parameters import _arg_system
 
-from oracles import naive_fun_vertex, naive_is_function_of, naive_is_threshold
+from oracles import (
+    naive_fun_vertex,
+    naive_is_function_of,
+    naive_is_threshold,
+    restricted_conflict_requirements,
+)
 
 K5 = fb.from_edge_list(5, list(itertools.combinations(range(5), 2)))
 P4 = fb.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
@@ -105,9 +110,14 @@ def test_hitting_set_equivalence_on_random_instances():
         direct, _ = fb.is_function_of(g, y, s)
         s_mask = sum(1 << v for v in s)
         via_reqs = all(
-            r & s_mask for r in _conflict_requirements(g.rows, g.full_mask, y)
+            r & s_mask for r in restricted_conflict_requirements(g.rows, g.full_mask, y)
         )
         assert direct == via_reqs
+        need, hitters = _arg_system(g.rows, g.full_mask, y)
+        hit = 0
+        for v in s:
+            hit |= hitters.cover[v]
+        assert direct == (hit == need)
         assert direct == naive_is_function_of(g, y, s)
 
 

@@ -6,7 +6,9 @@ and ``extend_gk_to_abc`` build their rows with one kernel, ``_triple_rows``,
 from clique and prefix/suffix masks; the kernel is checked against the plain
 edge definition on small random cliques and positions, and each generator
 against the edge-list build it replaced. The definitions, the m x m pair loop
-and the edge-list builds live on in ``oracles``.
+and the edge-list builds live on in ``oracles``. ``structure_scan`` and
+``refute_function`` test K_{2,p}-freeness with bit-sliced common-neighbour
+counters, checked against the pair loop they replaced.
 """
 
 import itertools
@@ -21,12 +23,14 @@ from funbox import graphs
 from funbox.campaigns import random_graph, random_permutation
 from funbox.constructions import _triple_rows
 from funbox.graphs import GraphError
+from funbox.parameters import _cached_k2p_free
 from oracles import (
     edgelist_abc_graph,
     edgelist_extend_gk_to_abc,
     edgelist_g_k,
     naive_graph_error,
     naive_triple_rows,
+    pairloop_k2p_free,
     pairloop_recover_half_graph_orders,
 )
 
@@ -188,3 +192,27 @@ def test_half_graph_orders_match_pair_loop(sides):
             assert got == _outcome(pairloop_recover_half_graph_orders, h, xs, ys)
             rule_breaks += isinstance(got, str) and "order rule" in got
     assert rule_breaks > 0
+
+
+@given(
+    st.integers(1, 30),
+    st.integers(1, 3),
+    st.sampled_from([4, 8, 16, 32]),
+    st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_k2p_counters_match_pair_loop(n, p_num, p_den, seed):
+    g = random_graph(n, p_num, p_den, seed)
+    for p in (2, 3, 4):
+        assert _cached_k2p_free(g, p) == pairloop_k2p_free(g, p)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [lambda: fb.point_box_incidence(4, 4), lambda: fb.hypercube(4), lambda: fb.g_k(2)],
+    ids=["H44", "Q4", "gk2"],
+)
+def test_k2p_counters_match_pair_loop_on_families(family):
+    g, _ = family()
+    for p in (2, 3, 4):
+        assert _cached_k2p_free(g, p) == pairloop_k2p_free(g, p)
