@@ -26,6 +26,8 @@ from typing import Callable
 
 from . import __version__
 from .constructions import (
+    GEN_EDGE_COUNTS,
+    GEN_MAX_EDGES,
     abc_graph,
     g_k,
     hypercube,
@@ -38,7 +40,7 @@ from .geometry import (
     realize_abc_intervals,
     realize_pointbox_plane,
 )
-from .graphs import Graph, GraphError, equal_labeled, from_edge_list, mask_of
+from .graphs import Graph, GraphError, SizeLimitError, equal_labeled, mask_of
 from .intervals import (
     IntervalRep,
     check_sd_lemma,
@@ -232,12 +234,13 @@ def random_graph(n: int, p_num: int, p_den: int, seed: int) -> Graph:
     if p_den < 1 or not 0 <= p_num <= p_den:
         raise ConfigError("edge probability must be in [0, 1]")
     rng = SplitMix64(seed)
-    edges = []
+    rows = [0] * n
     for u in range(n):
         for v in range(u + 1, n):
             if rng.below(p_den) < p_num:
-                edges.append((u, v))
-    return from_edge_list(n, edges)
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph(n, rows)
 
 
 def random_permutation(n: int, seed: int) -> tuple[int, ...]:
@@ -406,6 +409,8 @@ def _sampled(trials, sizes, *, coord_range=None, edge_p=False, fun_limited=False
 
     def plan(rng: SplitMix64, cfg: CampaignConfig) -> list[dict]:
         pool = cfg.sizes or sizes
+        if min(pool) < 1:
+            raise ConfigError(f"sizes must be >= 1, got {min(pool)}")
         if fun_limited and max(pool) > cfg.fun_max_n:
             raise ConfigError(
                 f"sizes up to {max(pool)} exceed the fun_max_n limit {cfg.fun_max_n}"
@@ -428,6 +433,9 @@ def _plan_gk_sd(rng: SplitMix64, cfg: CampaignConfig) -> list[dict]:
     sizes = cfg.sizes or [2, 3, 4]
     if min(sizes) < 2:
         raise ConfigError(f"gk-sd needs every k >= 2, got {min(sizes)}")
+    edges = GEN_EDGE_COUNTS["gk"](0, max(sizes))
+    if edges > GEN_MAX_EDGES:
+        raise SizeLimitError(f"gk-sd k={max(sizes)} has {edges} edges, over {GEN_MAX_EDGES}")
     return [{"k": k, "check_coordinates": k <= 3} for k in sizes]
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import comb
 
 from . import __version__
 from .campaigns import (
@@ -24,6 +23,8 @@ from .campaigns import (
     verify_campaign,
 )
 from .constructions import (
+    GEN_EDGE_COUNTS,
+    GEN_MAX_EDGES,
     abc_graph,
     abc_parts,
     extend_gk_to_abc,
@@ -73,23 +74,6 @@ def _emit_json(data: dict, path: str | None) -> None:
 def _load_json(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
-
-
-# The JSON edge list costs about 420 bytes per edge, so gen refuses a dense
-# family whose edge count, from its closed form in --n and --k, is larger.
-GEN_MAX_EDGES = 1 << 20
-
-
-def _pairs(m: int) -> int:
-    return comb(max(m, 0), 2)
-
-
-GEN_EDGE_COUNTS = {
-    "half": lambda n, k: _pairs(n),
-    "abc": lambda n, k: 5 * _pairs(n),
-    "gk": lambda n, k: (2 * k + 2) * _pairs(k**3) + _pairs(k**4),
-    "gk-abc": lambda n, k: 5 * _pairs(k**4),
-}
 
 
 def _cmd_gen(args) -> int:

@@ -4,19 +4,39 @@ Every generator returns a Graph whose per-vertex label strings encode the
 family metadata, plus a ConstructionLabels object holding the same data in
 structured form (part membership, order indices, grid coordinates).
 
-The ABC-type families (three cliques joined by two half graphs: abc_graph,
-g_k, extend_gk_to_abc) are built as rows by one kernel, _triple_rows.
+Every generator builds adjacency rows as masks; none goes through an edge
+list. The ABC-type families (three cliques joined by two half graphs:
+abc_graph, g_k, extend_gk_to_abc) share one row kernel, _triple_rows, and
+point_box_incidence builds its box rows level by level and takes the point
+rows as their columns. Dense families are capped by GEN_EDGE_COUNTS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 from typing import Sequence
 
-from .graphs import Graph, GraphError, SizeLimitError, from_edge_list
+from .graphs import Graph, GraphError, SizeLimitError, _columns
 
 HYPERCUBE_MAX_DIM = 16
 HNI_MAX_VERTICES = 1 << HYPERCUBE_MAX_DIM
+
+# The JSON edge list costs about 420 bytes per edge, so a dense family whose
+# edge count, from its closed form in n and k, is larger is refused.
+GEN_MAX_EDGES = 1 << 20
+
+
+def _pairs(m: int) -> int:
+    return comb(max(m, 0), 2)
+
+
+GEN_EDGE_COUNTS = {
+    "half": lambda n, k: _pairs(n),
+    "abc": lambda n, k: 5 * _pairs(n),
+    "gk": lambda n, k: (2 * k + 2) * _pairs(k**3) + _pairs(k**4),
+    "gk-abc": lambda n, k: 5 * _pairs(k**4),
+}
 
 
 @dataclass(frozen=True)
@@ -46,10 +66,12 @@ def half_graph(n: int) -> tuple[Graph, ConstructionLabels]:
     """Bipartite graph on parts X, Y of size n with x_i ~ y_j iff i < j."""
     if n < 1:
         raise GraphError("half graph needs n >= 1")
-    edges = [(i - 1, n + j - 1) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    ys = (1 << n) - 1
+    # x_i (id i-1) sees y_{i+1}..y_n; y_j (id n+j-1) sees x_1..x_{j-1}
+    rows = [ys >> i << i << n for i in range(1, n + 1)] + [(1 << j) - 1 for j in range(n)]
     labels = {i - 1: f"X:{i}" for i in range(1, n + 1)}
     labels.update({n + j - 1: f"Y:{j}" for j in range(1, n + 1)})
-    g = from_edge_list(2 * n, edges, labels)
+    g = Graph(2 * n, rows, labels)
     vertex_data = {i - 1: {"part": "X", "index": i} for i in range(1, n + 1)}
     vertex_data.update({n + j - 1: {"part": "Y", "index": j} for j in range(1, n + 1)})
     meta = ConstructionLabels(
@@ -241,23 +263,20 @@ def point_box_incidence(n: int, i: int) -> tuple[Graph, ConstructionLabels]:
             f"H^n_i with n={n}, i={i} has n^i + i*n^(i-1) vertices, "
             f"more than the limit {HNI_MAX_VERTICES}"
         )
-    p_count, b_count = n, 1
-    edges = [(pt, 0) for pt in range(n)]  # (point, box) in level-local ids
+    # box rows as point masks in level-local ids: level 1 is one box over n
+    # points; level j holds n shifted copies of level j-1 and then, per
+    # level-(j-1) point, one box over that point's n copies
+    boxes, p_count = [(1 << n) - 1], n
     for _ in range(2, i + 1):
-        new_edges = []
-        for c in range(n):
-            for pt, bx in edges:
-                new_edges.append((c * p_count + pt, c * b_count + bx))
-        for pi in range(p_count):
-            for c in range(n):
-                new_edges.append((c * p_count + pi, n * b_count + pi))
-        edges = new_edges
-        p_count, b_count = n * p_count, n * b_count + p_count
+        copies = sum(1 << c * p_count for c in range(n))
+        boxes = [box << c * p_count for c in range(n) for box in boxes]
+        boxes += [copies << pt for pt in range(p_count)]
+        p_count *= n
+    b_count = len(boxes)
     labels = {pt: f"P:{pt}" for pt in range(p_count)}
     labels.update({p_count + bx: f"Box:{bx}" for bx in range(b_count)})
-    g = from_edge_list(
-        p_count + b_count, [(pt, p_count + bx) for pt, bx in edges], labels
-    )
+    pt_rows = [col << p_count for col in _columns(boxes, p_count)]
+    g = Graph(p_count + b_count, pt_rows + boxes, labels)
     meta = ConstructionLabels(
         family="hni",
         parts={

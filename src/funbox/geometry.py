@@ -6,8 +6,10 @@ counts as intersecting (consistent with the closed-interval convention).
 Box intersection graphs and point-in-box incidence graphs are built by the
 same per-axis sort-and-mask kernel as interval graphs
 (``intervals._overlap_rows``); a point is the degenerate box with
-``lo == hi`` on every axis. Each realization operation rebuilds the graph
-from its own geometry and raises if it does not match the target exactly.
+``lo == hi`` on every axis. An incidence graph runs the kernel once, for the
+point rows, and takes the box rows as their columns (``graphs._columns``).
+Each realization operation rebuilds the graph from its own geometry and
+raises if it does not match the target exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, GraphError, _json_int, _json_labels, equal_labeled
+from .graphs import Graph, GraphError, _columns, _json_int, _json_labels, equal_labeled
 from .intervals import IntervalRep, _int_pairs, _overlap_rows, graph_from_intervals
 from .parameters import check_abc_partition
 
@@ -111,7 +113,7 @@ def incidence_graph(points: Sequence[tuple[int, int]], bs: BoxSystem) -> Graph:
     np_ = len(points)
     pt_boxes = [tuple((c, c) for c in pt) for pt in points]
     pt_rows = _overlap_rows(pt_boxes, bs.boxes)
-    box_rows = _overlap_rows(bs.boxes, pt_boxes)
+    box_rows = _columns(pt_rows, len(bs.boxes))
     return Graph(np_ + len(box_rows), [row << np_ for row in pt_rows] + box_rows)
 
 

@@ -2,12 +2,15 @@
 
 Vertices are dense 0-based ids. Each adjacency row is a Python int used as a
 bit vector: bit ``v`` of ``rows[u]`` is 1 iff ``u`` and ``v`` are adjacent.
-All algorithms in the package work on these rows with bitwise kernels.
+All algorithms in the package work on these rows with bitwise kernels, and
+one transpose, ``_columns``, serves every kernel that needs a matrix's
+columns: ``Graph`` validation, the hitting-set system and the point-box
+builders.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -38,42 +41,57 @@ def mask_of(ids: Iterable[int], n: int) -> int:
 
 # Comparing the text costs about as much as walking n*n/32 + 2n set bits
 # (timed on G(n, p), n = 3..2000), so sparser rows are walked; _TEXT_MAX_N
-# bounds each string a band comparison holds to _TEXT_MAX_N**2 characters.
+# bounds each text a transpose holds to _TEXT_MAX_N**2 characters.
 _TEXT_MAX_N = 2048
+
+
+def _dense(rows, width: int) -> bool:
+    """Whether ``rows`` hold enough set bits that text beats a bit walk."""
+    return sum(map(int.bit_count, rows)) * 32 > len(rows) * (width + 64)
+
+
+def _columns(rows: Sequence[int], width: int) -> list[int]:
+    """Transpose of a bit matrix: bit i of ``cols[e]`` is bit e of ``rows[i]``.
+
+    ``rows`` hold bits in 0..width-1 only. Sparse rows walk their set bits.
+    Dense rows go through text, one band of rows i0.. at a time: the band's
+    rows, last first, written as width-character binary lines make a text
+    whose slice ``text[j::width]`` is column width-1-j read from bit i0 up.
+    Bands hold ``_TEXT_MAX_N**2 // width`` rows.
+    """
+    cols = [0] * width
+    if _dense(rows, width):
+        band = max(1, _TEXT_MAX_N ** 2 // width)
+        line = f"0{width}b"
+        for i0 in range(0, len(rows), band):
+            text = "".join([format(row, line) for row in reversed(rows[i0 : i0 + band])])
+            for j in range(width):
+                cols[width - 1 - j] |= int(text[j::width], 2) << i0
+        return cols
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        for e in bit_ids(row):
+            cols[e] |= bit
+    return cols
 
 
 def _rows_symmetric(rows: tuple[int, ...]) -> bool:
     """Whether in-range, irreflexive bit rows equal their transpose.
 
-    Dense rows are compared as text, one band of rows [b0, b1) at a time.
-    The band's rows, last first, written as n-character binary lines make a
-    text whose lines are those rows reflected; the bits b0..b1-1 of every
-    row, last row first, written as (b1 - b0)-character lines, make a text
-    whose column slices ``text[j::b1 - b0]`` are the columns b1-1, ..., b0
-    written the same way. The rows are symmetric exactly when in every band
-    the two agree. Bands hold ``_TEXT_MAX_N**2 // n`` rows, so with
-    n <= ``_TEXT_MAX_N`` one band covers the whole matrix.
-    Sparse rows (and n above ``_TEXT_MAX_N**2``, where a band would hold no
-    row) walk the bits above the diagonal instead: each needs its mirror
-    below, and the mirrors are distinct, so the rows are symmetric exactly
-    when the mirrors are all the bits below the diagonal.
+    Dense rows are compared with their columns: for n <= ``_TEXT_MAX_N`` as
+    one text, the column slices of the rows' text (see ``_columns``) joined,
+    and above that as ``_columns``. Sparse rows walk the bits above the
+    diagonal instead: each needs its mirror below, and the mirrors are
+    distinct, so the rows are symmetric exactly when the mirrors are all the
+    bits below the diagonal.
     """
     n = len(rows)
-    bits = sum(row.bit_count() for row in rows)
-    band = min(n, _TEXT_MAX_N ** 2 // n) if n else 0
-    if band and bits * 32 > n * (n + 64):
+    if _dense(rows, n):
+        if n > _TEXT_MAX_N:
+            return _columns(rows, n) == list(rows)
         line = f"0{n}b"
-        for b0 in range(0, n, band):
-            h = min(band, n - b0)
-            lines = "".join([format(row, line) for row in reversed(rows[b0 : b0 + h])])
-            sel, fmt = (1 << h) - 1, f"0{h}b"
-            # a single band's columns are the whole matrix: the same text
-            cols = lines if h == n else "".join(
-                [format(row >> b0 & sel, fmt) for row in reversed(rows)]
-            )
-            if "".join([cols[j::h] for j in range(h)]) != lines:
-                return False
-        return True
+        text = "".join([format(row, line) for row in reversed(rows)])
+        return "".join([text[j::n] for j in range(n)]) == text
     upper = 0
     for u, row in enumerate(rows):
         above = row >> u << u
@@ -81,7 +99,7 @@ def _rows_symmetric(rows: tuple[int, ...]) -> bool:
             if not rows[v] >> u & 1:
                 return False
         upper += above.bit_count()
-    return 2 * upper == bits
+    return 2 * upper == sum(map(int.bit_count, rows))
 
 
 class Graph:
@@ -112,12 +130,11 @@ class Graph:
             if row >> u & 1:
                 raise GraphError(f"self-loop at vertex {u}")
         if not _rows_symmetric(rows):
-            u, v = min(
-                (min(x, y), max(x, y))
-                for x, row in enumerate(rows)
-                for y in bit_ids(row)
-                if not rows[y] >> x & 1
-            )
+            # the first row that differs from its column is the lower end u
+            # of the lowest one-sided pair, and its lowest differing bit is v
+            diffs = [row ^ col for row, col in zip(rows, _columns(rows, n))]
+            u = next(u for u, diff in enumerate(diffs) if diff)
+            v = (diffs[u] & -diffs[u]).bit_length() - 1
             raise GraphError(f"asymmetric adjacency between {u} and {v}")
         self.n = n
         self.rows = rows

@@ -244,44 +244,26 @@ def find_low_fun_witness(rep: PointRep) -> Witness:
     for idx, (i, j) in enumerate(pts):
         blocks.setdefault((_stripe(i), _stripe(j)), []).append(idx)
 
-    crowded = sorted(key for key, ids in blocks.items() if len(ids) >= 2)
+    crowded = [key for key, ids in blocks.items() if len(ids) >= 2]
     if crowded:
-        ids = sorted(blocks[crowded[0]])
-        x, y = ids[0], ids[1]
+        x, y = blocks[min(crowded)][:2]  # each block lists its ids in order
         w = pair_witness(g, x, y, "distinguishers")
         return _emit(g, Witness(w.target, w.args, w.table, "stripe-case1"))
 
     # every block holds at most one point: locate a non-marginal one
     leftmost: dict[int, int] = {}
     topmost: dict[int, int] = {}
-    for vs, hs in blocks:
-        if hs not in leftmost or vs < leftmost[hs]:
-            leftmost[hs] = vs
-        if vs not in topmost or hs > topmost[vs]:
-            topmost[vs] = hs
-    target_block = None
-    for hs in sorted({key[1] for key in blocks}):
-        for vs in sorted({key[0] for key in blocks if key[1] == hs}):
-            if (vs, hs) in blocks and leftmost[hs] != vs and topmost[vs] != hs:
-                target_block = (vs, hs)
-                break
-        if target_block:
-            break
-    if target_block is None:
+    for vs, hs in sorted(blocks):
+        leftmost.setdefault(hs, vs)
+        topmost[vs] = hs
+    inner = [(hs, vs) for vs, hs in blocks if leftmost[hs] != vs and topmost[vs] != hs]
+    if not inner:
         raise AssertionError("no non-marginal block although n >= 9")
-    vs, hs = target_block
-    x = blocks[target_block][0]
+    hs, vs = min(inner)  # the first in row-major order
+    x = blocks[vs, hs][0]
     xi, xj = pts[x]
-    above = [
-        idx
-        for idx, (i, j) in enumerate(pts)
-        if _stripe(i) == vs and j > xj
-    ]
-    left = [
-        idx
-        for idx, (i, j) in enumerate(pts)
-        if _stripe(j) == hs and i < xi
-    ]
+    above = [idx for idx, (i, j) in enumerate(pts) if _stripe(i) == vs and j > xj]
+    left = [idx for idx, (i, j) in enumerate(pts) if _stripe(j) == hs and i < xi]
     y = min(above, key=lambda idx: pts[idx][1])
     z = max(left, key=lambda idx: pts[idx][0])
     col_lo, col_hi = sorted((xi, pts[y][0]))
@@ -299,9 +281,7 @@ def find_low_fun_witness(rep: PointRep) -> Witness:
     ]
     args = (y, z, *sorted(extras))
     k = len(args)
-    # prediction: adjacent to x iff adjacent to both y and z (bits 0 and 1)
-    table = 0
-    for m in range(1 << k):
-        if m & 1 and m >> 1 & 1:
-            table |= 1 << m
+    # prediction: adjacent to x iff adjacent to both y and z (bits 0 and 1),
+    # so bit m is set for m = 3 mod 4: bit 3 of every 4-bit group
+    table = ((1 << (1 << k)) - 1) // 15 * 8
     return _emit(g, Witness(x, args, table, "stripe-case2"))

@@ -20,9 +20,10 @@ visiting all 2^n subsets. Both rest on one lemma each:
 The per-vertex minimum is solved as a minimum hitting set over conflict
 pairs: for every pair (z, z') with different adjacency to y, the argument
 set must contain z, z', or a vertex distinguishing them. The kernel works
-on the transposed instance, one requirement-index mask per vertex, and
-searches hitter lists: it branches on the lowest pending requirement and
-tries the vertices of that requirement in id order, taking the list from a
+on the transposed instance, one requirement-index mask per vertex (the
+columns of the requirement rows, from ``graphs._columns``), and searches
+hitter lists: it branches on the lowest pending requirement and tries the
+vertices of that requirement in id order, taking the list from a
 per-instance cache that is filled the first time the requirement is
 branched on. Lists hold whole covers, and a vertex that fails is excluded
 through a ``tried`` mask, so a failure holds whatever search asked (see
@@ -46,8 +47,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable
 
-from . import graphs
-from .graphs import Graph, GraphError, SizeLimitError, _json_int, bit_ids, mask_of
+from .graphs import Graph, GraphError, SizeLimitError, _columns, _json_int, bit_ids, mask_of
 
 FUN_MAX_N_DEFAULT = 12
 SD_MAX_N_DEFAULT = 14
@@ -337,19 +337,7 @@ def _arg_system(rows, universe: int, y: int) -> tuple[int, _Hitters]:
     pos = [(rows[z] & others, 1 << z) for z in bit_ids(others & ay)]
     neg = [(rows[w] & others, 1 << w) for w in bit_ids(others & ~ay)]
     reqs = sorted({(a ^ b) | bz | bw for a, bz in pos for b, bw in neg}, key=int.bit_count)
-    # transpose: in the text of requirements i0.. written last first as
-    # width-character lines, the slice text[j::width] is column width-1-j,
-    # the requirement bits of vertex width-1-j read from bit i0 up; bands of
-    # _TEXT_MAX_N**2 characters bound the text, as in graphs._rows_symmetric
-    width = universe.bit_length()
-    band = max(1, graphs._TEXT_MAX_N ** 2 // width)
-    line = f"0{width}b"
-    cover = [0] * width
-    for i0 in range(0, len(reqs), band):
-        text = "".join([format(r, line) for r in reversed(reqs[i0 : i0 + band])])
-        for j in range(width):
-            cover[width - 1 - j] |= int(text[j::width], 2) << i0
-    return (1 << len(reqs)) - 1, _Hitters(reqs, cover)
+    return (1 << len(reqs)) - 1, _Hitters(reqs, _columns(reqs, universe.bit_length()))
 
 
 def _hit(need: int, budget: int, hitters: _Hitters, tried: int = 0):

@@ -2,16 +2,17 @@
 
 The ``naive_*`` functions work from the definitions with plain loops and
 subset enumeration, independent of the bit-row kernels under test. The
-``sweep_*``, ``listbb_*``, ``restricted_*``, ``pairloop_*``, ``edgelist_*``
-and ``profileloop_*`` functions are the kernels that the package used
-before: full 2^n subset sweeps, a list-based hitting-set branch and bound,
-a transposed hitting-set kernel that rebuilds its candidate list restricted
-to the pending requirements at every node, an m x m pair loop checking
-half-graph orders, a pair loop checking the sd lemma with one ``sd_pair``
-and ``manhattan`` call per pair, an n x n pair loop testing K_{2,p}-freeness,
-the ABC graph, g_k and its ABC extension built from their edge lists, and
-witness checks that compute each vertex's profile with a loop over the
-arguments.
+``sweep_*``, ``listbb_*``, ``restricted_*``, ``pairloop_*``, ``edgelist_*``,
+``profileloop_*`` and ``scan_*`` functions are the kernels that the package
+used before: full 2^n subset sweeps, a list-based hitting-set branch and
+bound, a transposed hitting-set kernel that rebuilds its candidate list
+restricted to the pending requirements at every node, an m x m pair loop
+checking half-graph orders, a pair loop checking the sd lemma with one
+``sd_pair`` and ``manhattan`` call per pair, an n x n pair loop testing
+K_{2,p}-freeness, the half graph, the ABC graph, g_k, its ABC extension and
+the point-box incidence family built from their edge lists, witness checks
+that compute each vertex's profile with a loop over the arguments, and
+``find_low_fun_witness`` finding its case-2 block with nested scans.
 """
 
 from __future__ import annotations
@@ -21,12 +22,15 @@ from functools import reduce
 from operator import or_
 
 from funbox import ConstructionLabels, Graph, GraphError, from_edge_list, intervals
-from funbox.graphs import bit_ids, mask_of
+from funbox.constructions import HNI_MAX_VERTICES
+from funbox.graphs import SizeLimitError, bit_ids, mask_of
 from funbox.intervals import SdLemmaReport, manhattan
 from funbox.parameters import (
     Witness,
     _check_vertex,
     _degree_collision,
+    _emit,
+    pair_witness,
     sd_pair,
 )
 
@@ -717,3 +721,164 @@ def pairloop_k2p_free(g: Graph, p: int) -> bool:
             if (ru & g.rows[v]).bit_count() >= p:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# generators that funbox.constructions now builds as rows, from their edge
+# lists, and find_low_fun_witness with its block scans and table loop
+# ---------------------------------------------------------------------------
+
+def edgelist_half_graph(n: int) -> tuple[Graph, ConstructionLabels]:
+    """Bipartite graph on parts X, Y of size n with x_i ~ y_j iff i < j."""
+    if n < 1:
+        raise GraphError("half graph needs n >= 1")
+    edges = [(i - 1, n + j - 1) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    labels = {i - 1: f"X:{i}" for i in range(1, n + 1)}
+    labels.update({n + j - 1: f"Y:{j}" for j in range(1, n + 1)})
+    g = from_edge_list(2 * n, edges, labels)
+    vertex_data = {i - 1: {"part": "X", "index": i} for i in range(1, n + 1)}
+    vertex_data.update({n + j - 1: {"part": "Y", "index": j} for j in range(1, n + 1)})
+    meta = ConstructionLabels(
+        family="half",
+        parts={"X": tuple(range(n)), "Y": tuple(range(n, 2 * n))},
+        vertex_data=vertex_data,
+        params={"n": n},
+    )
+    return g, meta
+
+
+def edgelist_point_box_incidence(n: int, i: int) -> tuple[Graph, ConstructionLabels]:
+    """Recursive bipartite incidence family: |P| = n^i, |Box| = i * n^(i-1).
+
+    Level 1 is the star with one box over n points; level j takes n copies
+    of level j-1 and adds one box per level-(j-1) point, matched to that
+    point's n copies. Box degree is n, point degree is i, and the graph is
+    K_{2,2}-free and triangle-free.
+    """
+    if n < 1:
+        raise GraphError("point_box_incidence needs n >= 1")
+    if not 1 <= i <= n:
+        raise GraphError(f"level must satisfy 1 <= i <= n, got {i}")
+    # n^i >= 2^i once n >= 2 (n = 1 forces i = 1), so a large i alone settles it
+    # before any huge power is formed
+    if (
+        i >= HNI_MAX_VERTICES.bit_length()
+        or n**i + i * n ** (i - 1) > HNI_MAX_VERTICES
+    ):
+        raise SizeLimitError(
+            f"H^n_i with n={n}, i={i} has n^i + i*n^(i-1) vertices, "
+            f"more than the limit {HNI_MAX_VERTICES}"
+        )
+    p_count, b_count = n, 1
+    edges = [(pt, 0) for pt in range(n)]  # (point, box) in level-local ids
+    for _ in range(2, i + 1):
+        new_edges = []
+        for c in range(n):
+            for pt, bx in edges:
+                new_edges.append((c * p_count + pt, c * b_count + bx))
+        for pi in range(p_count):
+            for c in range(n):
+                new_edges.append((c * p_count + pi, n * b_count + pi))
+        edges = new_edges
+        p_count, b_count = n * p_count, n * b_count + p_count
+    labels = {pt: f"P:{pt}" for pt in range(p_count)}
+    labels.update({p_count + bx: f"Box:{bx}" for bx in range(b_count)})
+    g = from_edge_list(
+        p_count + b_count, [(pt, p_count + bx) for pt, bx in edges], labels
+    )
+    meta = ConstructionLabels(
+        family="hni",
+        parts={
+            "P": tuple(range(p_count)),
+            "Box": tuple(range(p_count, p_count + b_count)),
+        },
+        vertex_data={v: {"side": "P" if v < p_count else "Box"} for v in range(g.n)},
+        params={"n": n, "i": i},
+    )
+    return g, meta
+
+
+def scan_find_low_fun_witness(rep) -> Witness:
+    """Validated witness with at most 8 arguments for some vertex.
+
+    n <= 8: vertex 0 with all others as arguments. Otherwise split the
+    coordinate lines into 5-line stripes. A block with two points gives a
+    distinguisher pair witness (<= 7 args). Otherwise the first non-empty
+    non-marginal block in row-major order yields a vertex x, the nearest
+    point y above it in its vertical stripe and nearest point z to its left
+    in its horizontal stripe: x's adjacency is the conjunction of y's and
+    z's bits, with the intervals owning an endpoint strictly between the
+    columns of x,y or the rows of x,z as inessential extras.
+    """
+    pts = rep.points
+    n = rep.n
+    g = intervals.graph_from_points(rep)
+    if n <= 8:
+        args = tuple(range(1, n))
+        return _emit(g, Witness(0, args, 0, "small-n"))
+
+    blocks: dict[tuple[int, int], list[int]] = {}
+    for idx, (i, j) in enumerate(pts):
+        blocks.setdefault((intervals._stripe(i), intervals._stripe(j)), []).append(idx)
+
+    crowded = sorted(key for key, ids in blocks.items() if len(ids) >= 2)
+    if crowded:
+        ids = sorted(blocks[crowded[0]])
+        x, y = ids[0], ids[1]
+        w = pair_witness(g, x, y, "distinguishers")
+        return _emit(g, Witness(w.target, w.args, w.table, "stripe-case1"))
+
+    # every block holds at most one point: locate a non-marginal one
+    leftmost: dict[int, int] = {}
+    topmost: dict[int, int] = {}
+    for vs, hs in blocks:
+        if hs not in leftmost or vs < leftmost[hs]:
+            leftmost[hs] = vs
+        if vs not in topmost or hs > topmost[vs]:
+            topmost[vs] = hs
+    target_block = None
+    for hs in sorted({key[1] for key in blocks}):
+        for vs in sorted({key[0] for key in blocks if key[1] == hs}):
+            if (vs, hs) in blocks and leftmost[hs] != vs and topmost[vs] != hs:
+                target_block = (vs, hs)
+                break
+        if target_block:
+            break
+    if target_block is None:
+        raise AssertionError("no non-marginal block although n >= 9")
+    vs, hs = target_block
+    x = blocks[target_block][0]
+    xi, xj = pts[x]
+    above = [
+        idx
+        for idx, (i, j) in enumerate(pts)
+        if intervals._stripe(i) == vs and j > xj
+    ]
+    left = [
+        idx
+        for idx, (i, j) in enumerate(pts)
+        if intervals._stripe(j) == hs and i < xi
+    ]
+    y = min(above, key=lambda idx: pts[idx][1])
+    z = max(left, key=lambda idx: pts[idx][0])
+    col_lo, col_hi = sorted((xi, pts[y][0]))
+    row_lo, row_hi = sorted((xj, pts[z][1]))
+    extras = [
+        idx
+        for idx, (i, j) in enumerate(pts)
+        if idx not in (x, y, z)
+        and (
+            col_lo < i < col_hi
+            or col_lo < j < col_hi
+            or row_lo < i < row_hi
+            or row_lo < j < row_hi
+        )
+    ]
+    args = (y, z, *sorted(extras))
+    k = len(args)
+    # prediction: adjacent to x iff adjacent to both y and z (bits 0 and 1)
+    table = 0
+    for m in range(1 << k):
+        if m & 1 and m >> 1 & 1:
+            table |= 1 << m
+    return _emit(g, Witness(x, args, table, "stripe-case2"))

@@ -220,6 +220,9 @@ def _labeled_graph(key, label):
         lambda t: ["gen", "half", "--n", "2000"],
         lambda t: ["compute", "fun-graph", "-i", _json_file(t, "g.json", _labeled_graph(1, 5))],
         lambda t: ["compute", "fun-graph", "-i", _json_file(t, "g.json", _labeled_graph("a", "x"))],
+        lambda t: ["verify", "lemma-sd", "--sizes", "0"],
+        lambda t: ["verify", "fun-sd-bound", "--sizes=-1"],
+        lambda t: ["verify", "gk-sd", "--sizes", "2,6"],
     ],
     ids=[
         "fun-graph-over-guard",
@@ -233,6 +236,9 @@ def _labeled_graph(key, label):
         "gen-half-over-edge-limit",
         "graph-label-not-a-string",
         "graph-label-key-not-an-id",
+        "sampled-size-0",
+        "sampled-size-below-0",
+        "gk-sd-over-edge-limit",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, make_argv):

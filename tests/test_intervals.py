@@ -5,6 +5,7 @@ from funbox.campaigns import random_interval_rep
 from funbox.graphs import GraphError
 from funbox.intervals import manhattan
 from funbox.rng import SplitMix64
+from oracles import scan_find_low_fun_witness
 
 
 def test_graph_from_intervals_touching_intersect():
@@ -123,6 +124,23 @@ def test_stripe_case2_appears_and_validates():
             seen += 1
             assert fb.witness_is_valid(fb.graph_from_points(pts), w)
     assert seen > 0
+
+
+def test_witness_matches_block_scans():
+    """Target, args, table and origin equal the old scans' on seeded models.
+
+    Case 2 is rare (about 1 model in 70 over n <= 120), so three models in
+    four have n = 9..11, where it is most common.
+    """
+    rng = SplitMix64(6000)
+    origins = {}
+    for t in range(4000):
+        n = 1 + rng.below(120) if t % 4 == 0 else 9 + rng.below(3)
+        pts = fb.normalize(random_interval_rep(n, rng.next_u64(), 20 + rng.below(4981)))
+        w = fb.find_low_fun_witness(pts)
+        assert w == scan_find_low_fun_witness(pts)
+        origins[w.origin] = origins.get(w.origin, 0) + 1
+    assert origins["stripe-case2"] >= 50 and len(origins) == 3
 
 
 def test_interval_graphs_have_fun_graph_at_most_8():

@@ -58,6 +58,7 @@ def row_sets(draw):
     return n, rows
 
 
+# 0 sends dense rows to _columns in one-row bands; sparse rows are walked
 @pytest.mark.parametrize("text_max_n", [graphs._TEXT_MAX_N, 0], ids=["text", "walk"])
 @given(row_sets())
 @settings(max_examples=300, deadline=None)
@@ -76,8 +77,9 @@ def _check_validation(text_max_n, n, rows):
             assert str(exc.value) == expected
 
 
-# with n * n > _TEXT_MAX_N**2, dense rows are compared in bands of
-# _TEXT_MAX_N**2 // n rows: 1 to 4 rows here, the last band often shorter
+# with n > _TEXT_MAX_N, dense rows are compared with their columns, which
+# _columns takes in bands of _TEXT_MAX_N**2 // n rows: 1 to 6 rows here,
+# the last band often shorter
 @pytest.mark.parametrize("text_max_n", [1, 2, 3, 7])
 @given(row_sets())
 @settings(max_examples=300, deadline=None)
