@@ -402,10 +402,14 @@ def _instance_threshold_fun0(params: dict) -> tuple[dict, bool]:
 # instance plans (deterministic given the config) and the campaign table
 # ---------------------------------------------------------------------------
 
-def _sampled(trials, sizes, *, coord_range=None, edge_p=False, fun_limited=False):
+def _sampled(
+    trials, sizes, *, coord_range=None, edge_p=False, fun_limited=False, family=None
+):
     """Plan of ``cfg.trials or trials`` instances, each drawing n from
     ``cfg.sizes or sizes``, then (``edge_p``) an edge probability p_num/4,
-    then a seed; ``fun_limited`` caps the size pool at ``cfg.fun_max_n``."""
+    then a seed; ``fun_limited`` caps the size pool at ``cfg.fun_max_n``,
+    and ``family`` names the ``GEN_EDGE_COUNTS`` entry that bounds the edges
+    an instance of size n can build."""
 
     def plan(rng: SplitMix64, cfg: CampaignConfig) -> list[dict]:
         pool = cfg.sizes or sizes
@@ -415,6 +419,13 @@ def _sampled(trials, sizes, *, coord_range=None, edge_p=False, fun_limited=False
             raise ConfigError(
                 f"sizes up to {max(pool)} exceed the fun_max_n limit {cfg.fun_max_n}"
             )
+        if family:
+            edges = GEN_EDGE_COUNTS[family](max(pool), 0)
+            if edges > GEN_MAX_EDGES:
+                raise SizeLimitError(
+                    f"size {max(pool)} can build {edges} edges ({family}), "
+                    f"over {GEN_MAX_EDGES}"
+                )
         plans = []
         for _ in range(cfg.trials or trials):
             params = {"n": pool[rng.below(len(pool))]}
@@ -460,12 +471,16 @@ class Campaign:
 
 
 CAMPAIGNS: dict[str, Campaign] = {
-    "lemma-sd": Campaign(_sampled(500, range(1, 61), coord_range=1000), _instance_lemma_sd),
-    "thm-fun8": Campaign(_sampled(500, range(1, 61), coord_range=1000), _instance_thm_fun8),
+    "lemma-sd": Campaign(
+        _sampled(500, range(1, 61), coord_range=1000, family="half"), _instance_lemma_sd
+    ),
+    "thm-fun8": Campaign(
+        _sampled(500, range(1, 61), coord_range=1000, family="half"), _instance_thm_fun8
+    ),
     "gk-sd": Campaign(_plan_gk_sd, _instance_gk_sd),
     "hni": Campaign(_plan_hni, _instance_hni),
     "refute": Campaign(_plan_refute, _instance_refute),
-    "abc-realize": Campaign(_sampled(100, range(1, 51)), _instance_abc_realize),
+    "abc-realize": Campaign(_sampled(100, range(1, 51), family="abc"), _instance_abc_realize),
     "fun-sd-bound": Campaign(
         _sampled(1000, range(4, 13), fun_limited=True), _instance_fun_sd_bound
     ),

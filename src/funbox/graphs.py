@@ -190,18 +190,13 @@ def induced_subgraph(g: Graph, subset: Iterable[int]) -> tuple[Graph, dict[int, 
     old_ids = sorted(set(subset))
     if not old_ids:
         raise GraphError("induced subgraph requires a nonempty vertex set")
-    mapping = {}
-    for old in old_ids:
-        if not 0 <= old < g.n:
-            raise GraphError(f"vertex id {old} out of range 0..{g.n - 1}")
-        mapping[old] = len(mapping)
+    kept = mask_of(old_ids, g.n)
+    mapping = {old: new for new, old in enumerate(old_ids)}
     rows = []
     for old in old_ids:
         row = 0
-        src = g.rows[old]
-        for other, new in mapping.items():
-            if src >> other & 1:
-                row |= 1 << new
+        for other in bit_ids(g.rows[old] & kept):
+            row |= 1 << mapping[other]
         rows.append(row)
     labels = None
     if g.labels:

@@ -28,8 +28,16 @@ per-instance cache that is filled the first time the requirement is
 branched on. Lists hold whole covers, and a vertex that fails is excluded
 through a ``tried`` mask, so a failure holds whatever search asked (see
 ``_hit``): the k-search, the least-lexicographic reconstruction and the
-witness search of ``fun_graph`` share one cache. No lower bound cuts a
-node before it branches; ``_hit`` says why.
+witness search of ``fun_graph`` share one cache. The cache also keeps a
+nogood table: a node at budget 2 or more that fails records its budget and
+its ``tried`` mask under its pending mask, and a later node on the same
+pending mask with no more budget and at least those exclusions fails at
+once, because every set it could return was ruled out by that failure. A
+top-level search that fails drops what it recorded, so the table holds the
+failures met on the way to a success, which the reconstruction asks again.
+At budget 1 no list is built: the one element must lie in every pending
+requirement, so the vertex masks of the three lowest, less ``tried``, leave
+a few candidates to check against all that is pending.
 
 Checking a given argument list works on classes, not vertices:
 ``_profile_classes`` splits the vertices outside S + {y} by each argument
@@ -216,19 +224,30 @@ def _min_pair_sd(rows, mask: int, enough: int = 0) -> tuple[int, int, int]:
     return best
 
 
-def _branch_search(full: int, step) -> int:
+def _branch_search(full: int, step, floor) -> int:
     """Largest value over the subsets of ``full``, by depth-first branching.
 
     ``step(mask, best)`` returns the new best and a branching set B such that
     no subset of ``mask`` holding all of B beats it, so the search visits
-    only mask - b for b in B, each subset at most once.
+    only mask - b for b in B, each subset at most once. ``floor(best)`` is
+    the fewest vertices a set needs to beat ``best``: a smaller mask is not
+    stepped, and a mask whose children would be smaller does not push them.
     """
     best = 0
+    least = floor(best)
     seen = set()
     stack = [full]
     while stack:
         mask = stack.pop()
-        best, branch = step(mask, best)
+        size = mask.bit_count()
+        if size < least:
+            continue
+        value, branch = step(mask, best)
+        if value != best:
+            best = value
+            least = floor(best)
+        if size <= least:
+            continue
         for v in bit_ids(branch):
             child = mask & ~(1 << v)
             if child not in seen:
@@ -237,18 +256,21 @@ def _branch_search(full: int, step) -> int:
     return best
 
 
+def _sd_floor(best: int) -> int:
+    # in any three vertices the third fails to tell some pair apart (the
+    # three XORs of their adjacencies sum to 0 mod 2), so a k-set has
+    # min-pair sd at most k - 3
+    return best + 4
+
+
 def _sd_branch(rows, mask: int, best: int) -> tuple[int, int]:
     """One step of the sd search: (max(best, min-pair sd of mask), a pair).
 
     A subset T of S holding both x and y has sd_T(x, y) <= sd_S(x, y). So
     when (x, y) is a least-sd pair of S, or any pair with sd_S(x, y) <= best,
-    only subsets of S - x or S - y can beat the returned value. In any three
-    vertices the third fails to tell some pair apart (the three XORs of
-    their adjacencies sum to 0 mod 2), so a k-set has min-pair sd at most
-    k - 3; when that cannot beat ``best`` the branching set is empty.
+    only subsets of S - x or S - y can beat the returned value. ``mask``
+    holds at least ``best`` + 4 vertices (see ``_sd_floor``).
     """
-    if mask.bit_count() - 3 <= best:
-        return best, 0
     d, x, y = _min_pair_sd(rows, mask, best)
     return max(best, d), 1 << x | 1 << y
 
@@ -265,7 +287,7 @@ def sd_graph(g: Graph, max_n: int | None = None) -> int:
             f"sd_graph guard is {limit} vertices (got {g.n}); "
             "raise max_n or FUNBOX_MAX_N"
         )
-    return _branch_search(g.full_mask, partial(_sd_branch, g.rows))
+    return _branch_search(g.full_mask, partial(_sd_branch, g.rows), _sd_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +327,20 @@ class _Hitters(dict):
     in increasing id order, and is built the first time its bit is looked
     up. ``cover[e]`` is the mask of every requirement bit e hits, pending or
     not, so no list depends on the search that asks for it and one cache
-    serves every search on the same system.
+    serves every search on the same system. ``nogoods`` maps a pending mask
+    to the (budget, tried) pairs at which the search failed on it, and
+    ``log`` lists the masks of the entries that the running ``_hit`` has
+    made, in order, so that a failed search can take them back.
     """
 
-    __slots__ = ("reqs", "cover")
+    __slots__ = ("reqs", "cover", "nogoods", "log")
 
     def __init__(self, reqs: list[int], cover: list[int]):
         super().__init__()
         self.reqs = reqs
         self.cover = cover
+        self.nogoods = {}
+        self.log = []
 
     def __missing__(self, low: int) -> list[tuple[int, int]]:
         cover = self.cover
@@ -355,44 +382,104 @@ def _hit(need: int, budget: int, hitters: _Hitters, tried: int = 0):
     search asked, and the k-search, the lexicographic reconstruction and
     ``_fun_branch`` share one cache and pass their exclusions as ``tried``.
 
-    Nothing is cut before branching. A reach bound (every pending
-    requirement keeps an untried hitter) and a coverage bound (``budget``
-    elements of the largest cover can cover all that is pending) cost a
-    rebuilt candidate list and two scans at every node, and on G(32, 1/2)
-    and small random and interval graphs the reach bound never cut above
-    budget 1 and the coverage bound cut under 1% of the nodes at budgets
-    2 and 3. At budget 1 the loop below is the exact test, and a
-    requirement left without an untried hitter fails as soon as it is the
-    lowest pending one.
+    Failures are remembered as nogoods (Dechter, "Enhancement schemes for
+    constraint processing", 1990). A node at budget 2 or more that fails
+    records (budget, tried), with ``tried`` as it stood on entry, under its
+    ``need``. A node whose ``need`` holds an entry with a budget at least
+    its own and a ``tried`` inside its own fails at once: every set it
+    could return is one that the recorded failure ruled out. Only failures
+    are skipped, so every set returned is the one the full search returns.
+    The table keeps what a successful search recorded on its way, which the
+    reconstruction asks again, and drops what a failed search recorded: its
+    caller goes on to a larger budget or to another element, where those
+    entries do not cut. Kept, they held about 30,000 entries of 4 kB each
+    on vertex 0 of ``H^5_5``, and none of them cut a node.
+
+    Budget 1 builds no hitter list. The one element lies in every pending
+    requirement, so the vertex masks of the three lowest pending ones, less
+    ``tried``, leave the only candidates, usually three or fewer, and each
+    is checked against all of ``need``; the lowest that passes is the one a
+    scan of the lowest requirement's hitters would return. The budget-2
+    loop runs the same test inline on what each first element leaves.
     """
+    found = _search(need, budget, hitters, tried)
+    log = hitters.log
+    if log:
+        if found is None:
+            nogoods = hitters.nogoods
+            for key in reversed(log):
+                entries = nogoods[key]
+                entries.pop()
+                if not entries:
+                    del nogoods[key]
+        log.clear()
+    return found
+
+
+def _search(need: int, budget: int, hitters: _Hitters, tried: int):
+    """``_hit`` below the top level: the branching, and the nogoods it
+    consults and records."""
     if not need:
         return 0
     if budget <= 0:
         return None
-    pairs = hitters[need & -need]
+    reqs, cover = hitters.reqs, hitters.cover
     if budget == 1:
-        for b, c in pairs:
-            if not need & ~c and not tried & b:
+        low = need & -need
+        cand = reqs[low.bit_length() - 1] & ~tried
+        rest = need ^ low
+        if rest and cand:
+            low = rest & -rest
+            cand &= reqs[low.bit_length() - 1]
+            rest ^= low
+            if rest and cand:
+                low = rest & -rest
+                cand &= reqs[low.bit_length() - 1]
+        while cand:
+            b = cand & -cand
+            if not need & ~cover[b.bit_length() - 1]:
                 return b
+            cand ^= b
         return None
+    failed = hitters.nogoods.get(need)
+    if failed is not None:
+        for b0, t0 in failed:
+            if b0 >= budget and not t0 & ~tried:
+                return None
+    entry = tried
+    pairs = hitters[need & -need]
     if budget == 2:
-        # one hitter of the rest must cover all of it: the budget-1 loop inline
+        # one element of the rest must hit all of it: budget 1 inline
         for b, c in pairs:
             if not tried & b:
                 rest = need & ~c
                 if not rest:
                     return b
-                for b2, c2 in hitters[rest & -rest]:
-                    if not rest & ~c2 and not tried & b2:
+                low = rest & -rest
+                cand = reqs[low.bit_length() - 1] & ~tried
+                more = rest ^ low
+                if more and cand:
+                    low = more & -more
+                    cand &= reqs[low.bit_length() - 1]
+                    more ^= low
+                    if more and cand:
+                        low = more & -more
+                        cand &= reqs[low.bit_length() - 1]
+                while cand:
+                    b2 = cand & -cand
+                    if not rest & ~cover[b2.bit_length() - 1]:
                         return b | b2
+                    cand ^= b2
                 tried |= b
-        return None
-    for b, c in pairs:
-        if not tried & b:
-            sub = _hit(need & ~c, budget - 1, hitters, tried)
-            if sub is not None:
-                return sub | b
-            tried |= b
+    else:
+        for b, c in pairs:
+            if not tried & b:
+                sub = _search(need & ~c, budget - 1, hitters, tried)
+                if sub is not None:
+                    return sub | b
+                tried |= b
+    hitters.nogoods.setdefault(need, []).append((budget, entry))
+    hitters.log.append(need)
     return None
 
 
@@ -472,6 +559,12 @@ def fun_vertex_naive(g: Graph, y: int) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("unreachable: y is always a function of all others")
 
 
+def _fun_floor(best: int) -> int:
+    # a vertex is a function of its neighbours and of its non-neighbours,
+    # and in a k-set one of the two has at most (k - 1) // 2 vertices
+    return 2 * best + 3
+
+
 def _fun_branch(rows, mask: int, best: int) -> tuple[int, int]:
     """One step of the fun search: (b, B) with b = max(best, fun(mask)) and B
     a subset of ``mask`` such that every T with B <= T <= mask has fun(T) <= b.
@@ -483,12 +576,9 @@ def _fun_branch(rows, mask: int, best: int) -> tuple[int, int]:
     sd < best (x is a function of y and the vertices distinguishing them,
     so |A| = sd + 1), and a hitting set of at most ``best`` vertices. Failing
     all of those, fun(mask) > best and B is a minimum witness of ``mask``.
-    A k-set has fun at most (k - 1) // 2; when that cannot beat ``best``,
-    B is empty.
+    ``mask`` holds at least 2 * ``best`` + 3 vertices (see ``_fun_floor``).
     """
     m = mask.bit_count()
-    if (m - 1) // 2 <= best:
-        return best, 0
     for v in bit_ids(mask):
         nbrs = rows[v] & mask
         deg = nbrs.bit_count()
@@ -537,7 +627,7 @@ def fun_graph(g: Graph, max_n: int | None = None) -> int:
             f"fun_graph guard is {limit} vertices (got {g.n}); "
             "raise max_n or FUNBOX_MAX_N"
         )
-    return _branch_search(g.full_mask, partial(_fun_branch, g.rows))
+    return _branch_search(g.full_mask, partial(_fun_branch, g.rows), _fun_floor)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,20 @@
 
 The ``naive_*`` functions work from the definitions with plain loops and
 subset enumeration, independent of the bit-row kernels under test. The
-``sweep_*``, ``listbb_*``, ``restricted_*``, ``pairloop_*``, ``edgelist_*``,
-``profileloop_*`` and ``scan_*`` functions are the kernels that the package
-used before: full 2^n subset sweeps, a list-based hitting-set branch and
-bound, a transposed hitting-set kernel that rebuilds its candidate list
-restricted to the pending requirements at every node, an m x m pair loop
-checking half-graph orders, a pair loop checking the sd lemma with one
-``sd_pair`` and ``manhattan`` call per pair, an n x n pair loop testing
-K_{2,p}-freeness, the half graph, the ABC graph, g_k, its ABC extension and
-the point-box incidence family built from their edge lists, witness checks
-that compute each vertex's profile with a loop over the arguments, and
-``find_low_fun_witness`` finding its case-2 block with nested scans.
+``sweep_*``, ``listbb_*``, ``restricted_*``, ``hitterlist_*``,
+``pairloop_*``, ``edgelist_*``, ``profileloop_*`` and ``scan_*`` functions
+are the kernels that the package used before: full 2^n subset sweeps, a
+list-based hitting-set branch and bound, a transposed hitting-set kernel
+that rebuilds its candidate list restricted to the pending requirements at
+every node, a hitting-set search over per-requirement hitter lists that
+keeps no record of its failures, an m x m pair loop checking half-graph
+orders, a pair loop checking the sd lemma with one ``sd_pair`` and
+``manhattan`` call per pair, an n x n pair loop testing K_{2,p}-freeness, a
+kept x kept pair loop building induced subgraphs, the half graph, the ABC
+graph, g_k, its ABC extension and the point-box incidence family built from
+their edge lists, witness checks that compute each vertex's profile with a
+loop over the arguments, and ``find_low_fun_witness`` finding its case-2
+block with nested scans.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 from operator import or_
+from typing import Iterable
 
 from funbox import ConstructionLabels, Graph, GraphError, from_edge_list, intervals
 from funbox.constructions import HNI_MAX_VERTICES
@@ -28,6 +32,7 @@ from funbox.intervals import SdLemmaReport, manhattan
 from funbox.parameters import (
     Witness,
     _check_vertex,
+    _Hitters,
     _degree_collision,
     _emit,
     pair_witness,
@@ -709,6 +714,68 @@ def restricted_min_args(rows, universe: int, y: int) -> tuple[int, list[int]]:
 
 
 # ---------------------------------------------------------------------------
+# the hitter-list search replaced in funbox.parameters._hit by one that
+# records nogoods and tests budget 1 on vertex masks
+# ---------------------------------------------------------------------------
+
+def hitterlist_hit(need: int, budget: int, hitters: _Hitters, tried: int = 0):
+    """At most ``budget`` elements outside ``tried`` hitting every bit of ``need``.
+
+    ``need`` is a mask of requirement bits, ``hitters`` the system's cache of
+    hitter lists and ``tried`` a vertex mask. Returns the chosen elements as
+    a vertex mask, or None when no such set exists.
+
+    The search branches on the lowest pending requirement, the smallest at
+    the start, and tries its hitters in id order; a hitter that fails is
+    added to ``tried`` for the later branches, since every set holding it
+    was just ruled out. So a failure is absolute: None means that no set of
+    at most ``budget`` elements outside ``tried`` hits ``need``, whichever
+    search asked, and the k-search, the lexicographic reconstruction and
+    ``_fun_branch`` share one cache and pass their exclusions as ``tried``.
+
+    Nothing is cut before branching. A reach bound (every pending
+    requirement keeps an untried hitter) and a coverage bound (``budget``
+    elements of the largest cover can cover all that is pending) cost a
+    rebuilt candidate list and two scans at every node, and on G(32, 1/2)
+    and small random and interval graphs the reach bound never cut above
+    budget 1 and the coverage bound cut under 1% of the nodes at budgets
+    2 and 3. At budget 1 the loop below is the exact test, and a
+    requirement left without an untried hitter fails as soon as it is the
+    lowest pending one.
+    """
+    if not need:
+        return 0
+    if budget <= 0:
+        return None
+    pairs = hitters[need & -need]
+    if budget == 1:
+        for b, c in pairs:
+            if not need & ~c and not tried & b:
+                return b
+        return None
+    if budget == 2:
+        # one hitter of the rest must cover all of it: the budget-1 loop inline
+        for b, c in pairs:
+            if not tried & b:
+                rest = need & ~c
+                if not rest:
+                    return b
+                for b2, c2 in hitters[rest & -rest]:
+                    if not rest & ~c2 and not tried & b2:
+                        return b | b2
+                tried |= b
+        return None
+    for b, c in pairs:
+        if not tried & b:
+            sub = hitterlist_hit(need & ~c, budget - 1, hitters, tried)
+            if sub is not None:
+                return sub | b
+            tried |= b
+    return None
+
+
+
+# ---------------------------------------------------------------------------
 # the pair loop replaced by bit-sliced common-neighbour counters in
 # funbox.parameters._cached_k2p_free
 # ---------------------------------------------------------------------------
@@ -882,3 +949,36 @@ def scan_find_low_fun_witness(rep) -> Witness:
         if m & 1 and m >> 1 & 1:
             table |= 1 << m
     return _emit(g, Witness(x, args, table, "stripe-case2"))
+
+
+# ---------------------------------------------------------------------------
+# the pair loop replaced in funbox.graphs.induced_subgraph by a walk over the
+# set bits of each kept row
+# ---------------------------------------------------------------------------
+
+def pairloop_induced_subgraph(g: Graph, subset: Iterable[int]) -> tuple[Graph, dict[int, int]]:
+    """Induced subgraph on ``subset`` plus the old-id -> new-id map.
+
+    New ids preserve the relative order of the old ids.
+    """
+    old_ids = sorted(set(subset))
+    if not old_ids:
+        raise GraphError("induced subgraph requires a nonempty vertex set")
+    mapping = {}
+    for old in old_ids:
+        if not 0 <= old < g.n:
+            raise GraphError(f"vertex id {old} out of range 0..{g.n - 1}")
+        mapping[old] = len(mapping)
+    rows = []
+    for old in old_ids:
+        row = 0
+        src = g.rows[old]
+        for other, new in mapping.items():
+            if src >> other & 1:
+                row |= 1 << new
+        rows.append(row)
+    labels = None
+    if g.labels:
+        labels = {mapping[o]: g.labels[o] for o in old_ids if o in g.labels}
+    return Graph(len(old_ids), rows, labels), mapping
+

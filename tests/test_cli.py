@@ -223,6 +223,9 @@ def _labeled_graph(key, label):
         lambda t: ["verify", "lemma-sd", "--sizes", "0"],
         lambda t: ["verify", "fun-sd-bound", "--sizes=-1"],
         lambda t: ["verify", "gk-sd", "--sizes", "2,6"],
+        lambda t: ["verify", "lemma-sd", "--sizes", "1449", "--trials", "1"],
+        lambda t: ["verify", "thm-fun8", "--sizes", "5,1449", "--trials", "1"],
+        lambda t: ["verify", "abc-realize", "--sizes", "649", "--trials", "1"],
     ],
     ids=[
         "fun-graph-over-guard",
@@ -239,6 +242,9 @@ def _labeled_graph(key, label):
         "sampled-size-0",
         "sampled-size-below-0",
         "gk-sd-over-edge-limit",
+        "lemma-sd-over-edge-limit",
+        "thm-fun8-over-edge-limit",
+        "abc-realize-over-edge-limit",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, make_argv):

@@ -2,12 +2,15 @@
 
 ``sd_graph`` and ``fun_graph`` branch on witnesses and ``fun_vertex`` runs on
 the transposed hitting-set kernel, which searches per-requirement hitter
-lists; the full subset sweeps, the list-based kernel and the kernel that
-rebuilt restricted candidate lists at every node live on in ``oracles`` as
-references.
+lists and records its failures as nogoods; the full subset sweeps, the
+list-based kernel, the kernel that rebuilt restricted candidate lists at
+every node and the hitter-list search without nogoods live on in ``oracles``
+as references. A digest pins every exact answer on a seeded corpus.
 """
 
+import hashlib
 import itertools
+import json
 from unittest.mock import patch
 
 import pytest
@@ -21,6 +24,7 @@ from funbox.graphs import bit_ids
 from funbox.parameters import _arg_system, _hit, _Hitters, _min_args, _min_pair_sd
 from funbox.rng import SplitMix64
 from oracles import (
+    hitterlist_hit,
     listbb_min_args,
     naive_fun_graph,
     naive_sd_graph,
@@ -173,6 +177,82 @@ def test_hit_matches_subset_enumeration(case):
                 assert all(r & got for i, r in enumerate(reqs) if need >> i & 1)
 
 
+@st.composite
+def sparse_instances(draw):
+    """Up to 12 requirements of 2 or 3 elements out of at most 10, drawn from
+    a seed so that hitting them often takes 3 or more elements and a search
+    often fails on its first branches, and up to 4 (need, tried, fewer,
+    slack) draws: ``fewer`` a subset of ``tried``, ``slack`` in -1..1."""
+    elems = draw(st.integers(3, 10))
+    rng = SplitMix64(draw(st.integers(0, 2**64 - 1)))
+    reqs = []
+    for _ in range(draw(st.integers(0, 12))):
+        r = 0
+        while r.bit_count() < 2 + rng.below(2):
+            r |= 1 << rng.below(elems)
+        reqs.append(r)
+    draws = []
+    for _ in range(draw(st.integers(1, 4))):
+        need = rng.below(1 << len(reqs)) | draw(st.sampled_from([0, (1 << len(reqs)) - 1]))
+        tried = rng.below(1 << elems) & rng.below(1 << elems)
+        fewer = tried & rng.below(1 << elems)
+        draws.append((need, tried, fewer, draw(st.integers(-1, 1))))
+    return elems, reqs, draws
+
+
+@given(sparse_instances())
+@settings(max_examples=300, deadline=None)
+def test_hit_with_nogoods_matches_hitter_list_search(case):
+    """One system answers a sequence of queries as a fresh system does.
+
+    Each drawn need is asked at its least feasible budget plus ``slack``,
+    where a successful search keeps the failures on its way; then its need
+    less each element's cover at one budget lower, at the same budget and
+    with the smaller ``fewer`` mask, and the need itself at one budget more
+    and with ``fewer``. Many of these meet a recorded failure that they may
+    not use, which a reversed subsumption test would. A failed query must
+    leave the nogood table as it was."""
+    elems, reqs, draws = case
+    cover = [sum(1 << i for i, r in enumerate(reqs) if r >> e & 1) for e in range(elems)]
+    hitters = _hitters_of(elems, reqs)
+
+    def check(need, budget, tried):
+        want = hitterlist_hit(need, budget, _hitters_of(elems, reqs), tried)
+        table = {key: list(entries) for key, entries in hitters.nogoods.items()}
+        assert _hit(need, budget, hitters, tried) == want
+        if want is None:  # a failed search leaves the table as it found it
+            assert hitters.nogoods == table
+
+    for need, tried, fewer, slack in draws:
+        least = next(
+            (b for b in range(elems + 1)
+             if hitterlist_hit(need, b, _hitters_of(elems, reqs), tried) is not None),
+            elems,
+        )
+        budget = least + slack
+        check(need, budget, tried)
+        for c in cover:
+            for b, t in ((budget - 1, tried), (budget, tried), (budget - 1, fewer)):
+                check(need & ~c, b, t)
+        check(need, budget + 1, tried)
+        check(need, budget, fewer)
+
+
+def test_hit_with_nogoods_matches_hitter_list_search_on_argument_systems():
+    rng = SplitMix64(355)
+    for _ in range(100):
+        n = 4 + rng.below(12)
+        g = random_graph(n, 1 + rng.below(3), 4, rng.next_u64())
+        y = rng.below(n)
+        need, hitters = _arg_system(g.rows, g.full_mask, y)
+        for _ in range(12):
+            sub = need & rng.below(1 << need.bit_length())
+            tried = rng.below(1 << n) & ~(1 << y)
+            for budget, mask in ((2, tried), (3, tried), (2, tried & rng.below(1 << n))):
+                want = hitterlist_hit(sub, budget, _arg_system(g.rows, g.full_mask, y)[1], mask)
+                assert _hit(sub, budget, hitters, mask) == want
+
+
 def test_hit_matches_subset_enumeration_on_argument_systems():
     rng = SplitMix64(350)
     for _ in range(150):
@@ -207,3 +287,33 @@ def test_hitter_lists_hold_each_requirements_elements():
     need, hitters = _arg_system(g.rows, g.full_mask, 0)
     for i, r in enumerate(hitters.reqs):
         assert hitters[1 << i] == [(1 << e, hitters.cover[e]) for e in bit_ids(r)]
+
+
+# ------------------------------------------------------------- pinned answers
+
+# sha256 over the JSON records [n, [[k, args] per vertex], fun_graph, sd_graph]
+# of the corpus below, recorded before nogoods and the branch-search cuts
+PINNED_EXACT_DIGEST = "47574ca55731cb2c89dd26c896920af0593fc46730ba64dee7b0c840b397c42b"
+
+
+def _pinned_corpus():
+    """300 seeded graphs with n <= 20: G(n, p) at p = 1/4, 1/2, 3/4, and every
+    third one an interval graph with a coordinate range drawn from 2..61."""
+    rng = SplitMix64(20261018)
+    for i in range(300):
+        n = 1 + rng.below(20)
+        if i % 3 == 2:
+            yield fb.graph_from_intervals(
+                random_interval_rep(n, rng.next_u64(), 2 + rng.below(60))
+            )
+        else:
+            yield random_graph(n, 1 + rng.below(3), 4, rng.next_u64())
+
+
+def test_exact_answers_match_pinned_digest():
+    digest = hashlib.sha256()
+    for g in _pinned_corpus():
+        args = [[k, list(w.args)] for k, w in (fb.fun_vertex(g, y) for y in range(g.n))]
+        record = [g.n, args, fb.fun_graph(g, max_n=g.n), fb.sd_graph(g, max_n=g.n)]
+        digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == PINNED_EXACT_DIGEST

@@ -3,7 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import funbox as fb
+from funbox.campaigns import random_graph
 from funbox.graphs import GraphError, bit_ids
+from funbox.rng import SplitMix64
+from oracles import pairloop_induced_subgraph
 
 
 def path(n):
@@ -59,6 +62,38 @@ def test_induced_subgraph_c5_minus_vertex_is_p4():
         h, _ = fb.induced_subgraph(c5, [v for v in range(5) if v != drop])
         assert h.n == 4 and h.edge_count() == 3
         assert sorted(h.degree(v) for v in range(4)) == [1, 1, 2, 2]
+
+
+def _same_induced(g, subset):
+    h, mapping = fb.induced_subgraph(g, subset)
+    want, want_mapping = pairloop_induced_subgraph(g, subset)
+    assert (h.rows, h.labels, mapping) == (want.rows, want.labels, want_mapping)
+    assert list(mapping) == list(want_mapping)
+
+
+def test_induced_subgraph_matches_pair_loop_on_seeded_graphs():
+    rng = SplitMix64(370)
+    for i in range(300):
+        n = 1 + rng.below(40)
+        g = random_graph(n, 1 + rng.below(3), 4, rng.next_u64())
+        if i % 2:
+            g = fb.Graph(n, g.rows, {v: f"v{v}" for v in range(0, n, 3)})
+        keep = rng.below(1 << n) | 1 << rng.below(n)
+        _same_induced(g, list(bit_ids(keep))[::-1])
+
+
+def test_induced_subgraph_matches_pair_loop_on_h44():
+    g, _ = fb.point_box_incidence(4, 4)
+    rng = SplitMix64(371)
+    for subset in (range(g.n), range(0, g.n, 2), [rng.below(g.n) for _ in range(200)]):
+        _same_induced(g, subset)
+    for bad in ([0, g.n], [-1, 3]):
+        messages = []
+        for build in (fb.induced_subgraph, pairloop_induced_subgraph):
+            with pytest.raises(GraphError) as err:
+                build(g, bad)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 def test_induced_subgraph_rejects_empty():
