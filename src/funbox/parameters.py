@@ -17,6 +17,14 @@ visiting all 2^n subsets. Both rest on one lemma each:
   distinguishing x from y, so fun <= sd + 1), or from the hitting-set
   kernel.
 
+Either lemma gives a branching set B: no subset of S holding all of B beats
+the best value. The search carries a forced set F with each S and covers
+the subsets between F and S. Those that miss a vertex of B - F are split by
+the first one they miss, so the subtrees are disjoint, no subset is met
+twice and no record of visited subsets is kept; when B lies inside F, no
+subset of the subtree can beat the best and it is dropped (see
+``_branch_search``).
+
 The per-vertex minimum is solved as a minimum hitting set over conflict
 pairs: for every pair (z, z') with different adjacency to y, the argument
 set must contain z, z', or a vertex distinguishing them. The kernel works
@@ -179,10 +187,20 @@ def _emit(g: Graph, w: Witness) -> Witness:
 
 
 def _resolve_limit(max_n, default: int) -> int:
+    """The size guard: ``max_n`` if given, else FUNBOX_MAX_N if set, else
+    ``default``. A guard that is not a non-negative integer is a GraphError
+    that names where it came from."""
     if max_n is not None:
-        return max_n
-    env = os.environ.get("FUNBOX_MAX_N")
-    return int(env) if env else default
+        source, limit = "max_n / --max-n", max_n
+    else:
+        env = os.environ.get("FUNBOX_MAX_N")
+        if not env:
+            return default
+        source = "FUNBOX_MAX_N"
+        limit = int(env) if env.strip().isdecimal() else env
+    if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
+        raise GraphError(f"{source} must be a non-negative integer, got {limit!r}")
+    return limit
 
 
 def _check_vertex(g: Graph, v: int, name: str = "vertex") -> None:
@@ -228,17 +246,23 @@ def _branch_search(full: int, step, floor) -> int:
     """Largest value over the subsets of ``full``, by depth-first branching.
 
     ``step(mask, best)`` returns the new best and a branching set B such that
-    no subset of ``mask`` holding all of B beats it, so the search visits
-    only mask - b for b in B, each subset at most once. ``floor(best)`` is
-    the fewest vertices a set needs to beat ``best``: a smaller mask is not
+    no subset of ``mask`` holding all of B beats it. Each stack entry is a
+    mask with a forced set F inside it and stands for the subsets T with
+    F <= T <= mask. A subset left to beat the best misses some vertex of
+    B - F, so for the free vertices b_1 < ... < b_r of B - F, child i is
+    mask - b_i with b_1..b_{i-1} forced as well: the children split the
+    subsets by the first free vertex they miss, no subset lies in two
+    subtrees and no mask is stepped twice (the include/exclude split of
+    Bron and Kerbosch, CACM 1973). When B lies inside F, every subset of
+    the entry holds B and the entry pushes nothing. ``floor(best)`` is the
+    fewest vertices a set needs to beat ``best``: a smaller mask is not
     stepped, and a mask whose children would be smaller does not push them.
     """
     best = 0
     least = floor(best)
-    seen = set()
-    stack = [full]
+    stack = [(full, 0)]
     while stack:
-        mask = stack.pop()
+        mask, forced = stack.pop()
         size = mask.bit_count()
         if size < least:
             continue
@@ -248,11 +272,12 @@ def _branch_search(full: int, step, floor) -> int:
             least = floor(best)
         if size <= least:
             continue
-        for v in bit_ids(branch):
-            child = mask & ~(1 << v)
-            if child not in seen:
-                seen.add(child)
-                stack.append(child)
+        free = branch & ~forced
+        while free:
+            b = free & -free
+            stack.append((mask ^ b, forced))
+            forced |= b
+            free ^= b
     return best
 
 
@@ -278,8 +303,10 @@ def _sd_branch(rows, mask: int, best: int) -> tuple[int, int]:
 def sd_graph(g: Graph, max_n: int | None = None) -> int:
     """Max over induced subgraphs (>= 2 vertices) of the min pairwise sd.
 
-    Exact by branching on a least-sd pair (see ``_sd_branch``); 0 for graphs
-    with fewer than 2 vertices.
+    Exact by branching on a least-sd pair (see ``_sd_branch``): a subset
+    that beats the best misses x or y, so the search splits into S - x, and
+    S - y with x forced, and drops a subtree in which both are forced (see
+    ``_branch_search``). 0 for graphs with fewer than 2 vertices.
     """
     limit = _resolve_limit(max_n, SD_MAX_N_DEFAULT)
     if g.n > limit:
@@ -618,8 +645,10 @@ def fun_graph(g: Graph, max_n: int | None = None) -> int:
     """Max over nonempty induced subgraphs of the min vertex functionality.
 
     Exact by branching on witnesses: at a subset S, ``_fun_branch`` gives a
-    set B such that no subset holding all of B beats the best value so far,
-    so the search only visits S - b for b in B.
+    set B such that no subset holding all of B beats the best value so far.
+    The search carries a forced set F with S, splits the subsets that miss
+    a vertex of B - F by the first one they miss, and drops the subtree when
+    B lies inside F (see ``_branch_search``).
     """
     limit = _resolve_limit(max_n, FUN_MAX_N_DEFAULT)
     if g.n > limit:

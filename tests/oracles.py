@@ -2,20 +2,21 @@
 
 The ``naive_*`` functions work from the definitions with plain loops and
 subset enumeration, independent of the bit-row kernels under test. The
-``sweep_*``, ``listbb_*``, ``restricted_*``, ``hitterlist_*``,
+``sweep_*``, ``seen_*``, ``listbb_*``, ``restricted_*``, ``hitterlist_*``,
 ``pairloop_*``, ``edgelist_*``, ``profileloop_*`` and ``scan_*`` functions
 are the kernels that the package used before: full 2^n subset sweeps, a
-list-based hitting-set branch and bound, a transposed hitting-set kernel
-that rebuilds its candidate list restricted to the pending requirements at
-every node, a hitting-set search over per-requirement hitter lists that
-keeps no record of its failures, an m x m pair loop checking half-graph
-orders, a pair loop checking the sd lemma with one ``sd_pair`` and
-``manhattan`` call per pair, an n x n pair loop testing K_{2,p}-freeness, a
-kept x kept pair loop building induced subgraphs, the half graph, the ABC
-graph, g_k, its ABC extension and the point-box incidence family built from
-their edge lists, witness checks that compute each vertex's profile with a
-loop over the arguments, and ``find_low_fun_witness`` finding its case-2
-block with nested scans.
+branch search over subsets that dedups its masks through a set of every mask
+pushed, a list-based hitting-set branch and bound, a transposed hitting-set
+kernel that rebuilds its candidate list restricted to the pending
+requirements at every node, a hitting-set search over per-requirement hitter
+lists that keeps no record of its failures, an m x m pair loop checking
+half-graph orders, a pair loop checking the sd lemma with one ``sd_pair``
+and ``manhattan`` call per pair, an n x n pair loop testing
+K_{2,p}-freeness, a kept x kept pair loop building induced subgraphs, the
+half graph, the ABC graph, g_k, its ABC extension and the point-box
+incidence family built from their edge lists, witness checks that compute
+each vertex's profile with a loop over the arguments, and
+``find_low_fun_witness`` finding its case-2 block with nested scans.
 """
 
 from __future__ import annotations
@@ -982,3 +983,39 @@ def pairloop_induced_subgraph(g: Graph, subset: Iterable[int]) -> tuple[Graph, d
         labels = {mapping[o]: g.labels[o] for o in old_ids if o in g.labels}
     return Graph(len(old_ids), rows, labels), mapping
 
+
+# ---------------------------------------------------------------------------
+# the branch search replaced in funbox.parameters._branch_search by one that
+# carries a forced set with each mask and splits the subsets disjointly
+# ---------------------------------------------------------------------------
+
+def seen_branch_search(full: int, step, floor) -> int:
+    """Largest value over the subsets of ``full``, by depth-first branching.
+
+    ``step(mask, best)`` returns the new best and a branching set B such that
+    no subset of ``mask`` holding all of B beats it, so the search visits
+    only mask - b for b in B, each subset at most once. ``floor(best)`` is
+    the fewest vertices a set needs to beat ``best``: a smaller mask is not
+    stepped, and a mask whose children would be smaller does not push them.
+    """
+    best = 0
+    least = floor(best)
+    seen = set()
+    stack = [full]
+    while stack:
+        mask = stack.pop()
+        size = mask.bit_count()
+        if size < least:
+            continue
+        value, branch = step(mask, best)
+        if value != best:
+            best = value
+            least = floor(best)
+        if size <= least:
+            continue
+        for v in bit_ids(branch):
+            child = mask & ~(1 << v)
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return best

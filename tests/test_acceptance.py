@@ -61,6 +61,20 @@ def test_criterion_3_interval_fun_graph_at_most_8():
             time.perf_counter() - start, 600.0)
 
 
+def test_criterion_3_interval_fun_graph_at_most_8_at_n24():
+    # a k-set has fun <= (k - 1) // 2, so the check above (n <= 12) cannot
+    # fail, nor can any at n <= 18; at n = 24, fun could reach 11
+    start = time.perf_counter()
+    rng = SplitMix64(304)
+    ok = True
+    for _ in range(20):
+        g = fb.graph_from_intervals(random_interval_rep(24, rng.next_u64(), 100))
+        fun = fb.fun_graph(g, max_n=24)
+        ok &= fun <= 8 and fun <= fb.sd_graph(g, max_n=24) + 1
+    _report(3, "interval fun_graph <= 8 and <= sd_graph + 1 at n = 24", ok,
+            time.perf_counter() - start, 60.0)
+
+
 def test_criterion_4_gk_min_sd():
     start = time.perf_counter()
     ok = True

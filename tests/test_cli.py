@@ -226,6 +226,8 @@ def _labeled_graph(key, label):
         lambda t: ["verify", "lemma-sd", "--sizes", "1449", "--trials", "1"],
         lambda t: ["verify", "thm-fun8", "--sizes", "5,1449", "--trials", "1"],
         lambda t: ["verify", "abc-realize", "--sizes", "649", "--trials", "1"],
+        lambda t: ({"FUNBOX_MAX_N": "abc"}, ["compute", "fun-graph", "-i", _q4_file(t)]),
+        lambda t: ["compute", "sd-graph", "-i", _q4_file(t), "--max-n", "-1"],
     ],
     ids=[
         "fun-graph-over-guard",
@@ -245,10 +247,17 @@ def _labeled_graph(key, label):
         "lemma-sd-over-edge-limit",
         "thm-fun8-over-edge-limit",
         "abc-realize-over-edge-limit",
+        "max-n-env-not-an-integer",
+        "max-n-below-0",
     ],
 )
-def test_bad_input_exits_2_with_one_line(tmp_path, capsys, make_argv):
-    code = main(make_argv(tmp_path))
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, make_argv):
+    argv = make_argv(tmp_path)
+    if isinstance(argv, tuple):  # (environment, argv)
+        env, argv = argv
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -1,16 +1,19 @@
 """The branching searches and the transposed hitting-set kernel against oracles.
 
-``sd_graph`` and ``fun_graph`` branch on witnesses and ``fun_vertex`` runs on
-the transposed hitting-set kernel, which searches per-requirement hitter
-lists and records its failures as nogoods; the full subset sweeps, the
-list-based kernel, the kernel that rebuilt restricted candidate lists at
-every node and the hitter-list search without nogoods live on in ``oracles``
-as references. A digest pins every exact answer on a seeded corpus.
+``sd_graph`` and ``fun_graph`` branch on witnesses into disjoint subtrees and
+``fun_vertex`` runs on the transposed hitting-set kernel, which searches
+per-requirement hitter lists and records its failures as nogoods; the full
+subset sweeps, the branch search that dedups its masks through a ``seen``
+set, the list-based kernel, the kernel that rebuilt restricted candidate
+lists at every node and the hitter-list search without nogoods live on in
+``oracles`` as references. A digest pins every exact answer on a seeded
+corpus.
 """
 
 import hashlib
 import itertools
 import json
+from functools import partial
 from unittest.mock import patch
 
 import pytest
@@ -21,7 +24,18 @@ import funbox as fb
 from funbox import graphs
 from funbox.campaigns import random_graph, random_interval_rep
 from funbox.graphs import bit_ids
-from funbox.parameters import _arg_system, _hit, _Hitters, _min_args, _min_pair_sd
+from funbox.parameters import (
+    _arg_system,
+    _branch_search,
+    _fun_branch,
+    _fun_floor,
+    _hit,
+    _Hitters,
+    _min_args,
+    _min_pair_sd,
+    _sd_branch,
+    _sd_floor,
+)
 from funbox.rng import SplitMix64
 from oracles import (
     hitterlist_hit,
@@ -30,6 +44,7 @@ from oracles import (
     naive_sd_graph,
     naive_sd_pair,
     restricted_min_args,
+    seen_branch_search,
     sweep_fun_graph,
     sweep_sd_graph,
 )
@@ -92,17 +107,72 @@ def test_min_pair_sd_is_least_or_enough_and_reached():
         assert ((g.rows[x] ^ g.rows[y]) & mask & ~(1 << x | 1 << y)).bit_count() == d
 
 
-# ---------------------------------------------------------------- hitter lists
+# ------------------------------------------------------------ branch searches
 
 @st.composite
-def kernel_graphs(draw):
-    """G(n, p) with n <= 24 and p in {1/4, 1/2, 3/4}, or an interval graph."""
-    n = draw(st.integers(1, 24))
+def kernel_graphs(draw, max_n=24):
+    """G(n, p) with n <= ``max_n`` and p in {1/4, 1/2, 3/4}, or an interval graph."""
+    n = draw(st.integers(1, max_n))
     seed = draw(st.integers(0, 2**64 - 1))
     if draw(st.booleans()):
         return fb.graph_from_intervals(random_interval_rep(n, seed, draw(st.integers(2, 60))))
     return random_graph(n, draw(st.sampled_from([1, 2, 3])), 4, seed)
 
+
+_SEARCHES = [(_sd_branch, _sd_floor), (_fun_branch, _fun_floor)]
+
+
+def _recorded(step):
+    masks = []
+
+    def recorded(mask, best):
+        masks.append(mask)
+        return step(mask, best)
+
+    return recorded, masks
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_branching_on_the_whole_mask_steps_every_subset_once(n):
+    step, masks = _recorded(lambda mask, best: (best, mask))
+    assert _branch_search((1 << n) - 1, step, lambda best: 0) == 0
+    assert sorted(masks) == list(range(1 << n))
+
+
+@given(kernel_graphs(max_n=12))
+@settings(max_examples=200, deadline=None)
+def test_branch_search_matches_seen_search(g):
+    values = []
+    for branch, floor in _SEARCHES:
+        step = partial(branch, g.rows)
+        value = _branch_search(g.full_mask, step, floor)
+        assert value == seen_branch_search(g.full_mask, step, floor)
+        values.append(value)
+    if g.n <= 8:
+        assert values == [naive_sd_graph(g), naive_fun_graph(g)]
+
+
+def test_branch_search_steps_each_mask_once_and_fewer_than_seen_search():
+    # the sizes of the `exact` benchmark: G(n, 1/2) at n = 15..17 and
+    # interval graphs at n = 15, 16
+    rng = SplitMix64(370)
+    corpus = [random_graph(n, 1, 2, rng.next_u64()) for n in (15, 15, 16, 17)]
+    corpus += [
+        fb.graph_from_intervals(random_interval_rep(n, rng.next_u64(), 1000))
+        for n in (15, 15, 15, 16, 16)
+    ]
+    steps = {_branch_search: 0, seen_branch_search: 0}
+    for g in corpus:
+        for branch, floor in _SEARCHES:
+            for search in steps:
+                step, masks = _recorded(partial(branch, g.rows))
+                search(g.full_mask, step, floor)
+                assert len(set(masks)) == len(masks)
+                steps[search] += len(masks)
+    assert steps[_branch_search] < steps[seen_branch_search]
+
+
+# ---------------------------------------------------------------- hitter lists
 
 def _check_min_args(g, y):
     got = _min_args(g.rows, g.full_mask, y)

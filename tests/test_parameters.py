@@ -70,6 +70,22 @@ def test_max_n_env_override(monkeypatch):
     assert fb.sd_graph(big) == 0
 
 
+def test_bad_max_n_is_a_graph_error_naming_its_source(monkeypatch):
+    g = fb.from_edge_list(2, [(0, 1)])
+    for bad in (-1, True, 3.0, "12"):
+        with pytest.raises(GraphError, match="max_n / --max-n must be a non-negative integer"):
+            fb.fun_graph(g, max_n=bad)
+    with pytest.raises(SizeLimitError, match="guard is 0 vertices"):
+        fb.sd_graph(g, max_n=0)
+    for bad in ("abc", "-1", "1.5", "²"):
+        monkeypatch.setenv("FUNBOX_MAX_N", bad)
+        with pytest.raises(GraphError, match="FUNBOX_MAX_N must be a non-negative integer"):
+            fb.sd_graph(g)
+    monkeypatch.setenv("FUNBOX_MAX_N", " 1 ")
+    with pytest.raises(SizeLimitError, match="guard is 1 vertices"):
+        fb.fun_graph(g)
+
+
 # ---------------------------------------------------------------- is_function_of
 
 def test_twins_are_functions_of_each_other():
