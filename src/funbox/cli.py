@@ -194,8 +194,17 @@ def _cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of printing the usage block and exiting,
+    so that ``main`` reports them like any other bad input: one ``error:``
+    line and exit code 2. Sub-parsers inherit the class."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="funbox",
         description="exact functionality / symmetric difference toolkit",
     )
@@ -259,9 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except PremiseViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -270,7 +278,8 @@ def main(argv=None) -> int:
         GraphError,
         ConfigError,
         SizeLimitError,
-        FileNotFoundError,
+        OSError,
+        argparse.ArgumentError,
         KeyError,
         ValueError,
     ) as exc:

@@ -29,23 +29,13 @@ The per-vertex minimum is solved as a minimum hitting set over conflict
 pairs: for every pair (z, z') with different adjacency to y, the argument
 set must contain z, z', or a vertex distinguishing them. The kernel works
 on the transposed instance, one requirement-index mask per vertex (the
-columns of the requirement rows, from ``graphs._columns``), and searches
-hitter lists: it branches on the lowest pending requirement and tries the
-vertices of that requirement in id order, taking the list from a
-per-instance cache that is filled the first time the requirement is
-branched on. Lists hold whole covers, and a vertex that fails is excluded
-through a ``tried`` mask, so a failure holds whatever search asked (see
-``_hit``): the k-search, the least-lexicographic reconstruction and the
-witness search of ``fun_graph`` share one cache. The cache also keeps a
-nogood table: a node at budget 2 or more that fails records its budget and
-its ``tried`` mask under its pending mask, and a later node on the same
-pending mask with no more budget and at least those exclusions fails at
-once, because every set it could return was ruled out by that failure. A
-top-level search that fails drops what it recorded, so the table holds the
-failures met on the way to a success, which the reconstruction asks again.
-At budget 1 no list is built: the one element must lie in every pending
-requirement, so the vertex masks of the three lowest, less ``tried``, leave
-a few candidates to check against all that is pending.
+columns of the requirement rows, from ``graphs._columns``), and keeps no
+state between calls: ``_hit`` branches on the untried vertices of the
+lowest pending requirement in id order, and a vertex that fails is
+excluded through a ``tried`` mask, so a failure holds whatever search
+asked. The k-search, the least-lexicographic reconstruction and the
+witness search of ``fun_graph`` pass their exclusions as ``tried``. Budgets
+1 and 2, where most nodes sit, have fast paths (see ``_hit``).
 
 Checking a given argument list works on classes, not vertices:
 ``_profile_classes`` splits the vertices outside S + {y} by each argument
@@ -347,113 +337,55 @@ def is_function_of(g: Graph, y: int, args: Iterable[int]):
     return pair is None, pair
 
 
-class _Hitters(dict):
-    """Requirement bit -> the elements hitting that requirement.
-
-    Each list holds (1 << e, cover[e]) for the elements e of the requirement,
-    in increasing id order, and is built the first time its bit is looked
-    up. ``cover[e]`` is the mask of every requirement bit e hits, pending or
-    not, so no list depends on the search that asks for it and one cache
-    serves every search on the same system. ``nogoods`` maps a pending mask
-    to the (budget, tried) pairs at which the search failed on it, and
-    ``log`` lists the masks of the entries that the running ``_hit`` has
-    made, in order, so that a failed search can take them back.
-    """
-
-    __slots__ = ("reqs", "cover", "nogoods", "log")
-
-    def __init__(self, reqs: list[int], cover: list[int]):
-        super().__init__()
-        self.reqs = reqs
-        self.cover = cover
-        self.nogoods = {}
-        self.log = []
-
-    def __missing__(self, low: int) -> list[tuple[int, int]]:
-        cover = self.cover
-        pairs = self[low] = [
-            (1 << e, cover[e]) for e in bit_ids(self.reqs[low.bit_length() - 1])
-        ]
-        return pairs
-
-
-def _arg_system(rows, universe: int, y: int) -> tuple[int, _Hitters]:
+def _arg_system(rows, universe: int, y: int) -> tuple[int, list[int], list[int]]:
     """y's argument sets inside ``universe`` as a transposed hitting-set instance.
 
     For z ~ y and w !~ y in ``universe``, every argument set holds z, w or a
     vertex telling them apart; that vertex mask is a requirement. Returns
-    (need, hitters): ``need`` has one bit per distinct requirement, the
-    smaller requirements at the lower bits, and ``hitters.cover[e]`` is the
-    mask of the requirement bits vertex e hits.
+    (need, reqs, cover): ``reqs`` lists the distinct requirements, smallest
+    first, ``need`` has one bit per requirement, and ``cover[e]`` is the mask
+    of the requirement bits vertex e hits.
     """
     others = universe & ~(1 << y)
     ay = rows[y]
     pos = [(rows[z] & others, 1 << z) for z in bit_ids(others & ay)]
     neg = [(rows[w] & others, 1 << w) for w in bit_ids(others & ~ay)]
     reqs = sorted({(a ^ b) | bz | bw for a, bz in pos for b, bw in neg}, key=int.bit_count)
-    return (1 << len(reqs)) - 1, _Hitters(reqs, _columns(reqs, universe.bit_length()))
+    return (1 << len(reqs)) - 1, reqs, _columns(reqs, universe.bit_length())
 
 
-def _hit(need: int, budget: int, hitters: _Hitters, tried: int = 0):
+def _hit(need: int, budget: int, reqs: list[int], cover: list[int], tried: int = 0):
     """At most ``budget`` elements outside ``tried`` hitting every bit of ``need``.
 
-    ``need`` is a mask of requirement bits, ``hitters`` the system's cache of
-    hitter lists and ``tried`` a vertex mask. Returns the chosen elements as
-    a vertex mask, or None when no such set exists.
+    ``need`` is a mask of requirement bits, ``reqs`` and ``cover`` the system
+    from ``_arg_system`` and ``tried`` a vertex mask. Returns the chosen
+    elements as a vertex mask, or None when no such set exists.
 
     The search branches on the lowest pending requirement, the smallest at
-    the start, and tries its hitters in id order; a hitter that fails is
-    added to ``tried`` for the later branches, since every set holding it
-    was just ruled out. So a failure is absolute: None means that no set of
-    at most ``budget`` elements outside ``tried`` hits ``need``, whichever
-    search asked, and the k-search, the lexicographic reconstruction and
-    ``_fun_branch`` share one cache and pass their exclusions as ``tried``.
+    the start, and tries its untried elements in id order; an element that
+    fails is added to ``tried`` for the later branches, since every set
+    holding it was just ruled out. So None means that no set of at most
+    ``budget`` elements outside ``tried`` hits ``need``, and the k-search,
+    the lexicographic reconstruction and ``_fun_branch`` pass their
+    exclusions as ``tried``.
 
-    Failures are remembered as nogoods (Dechter, "Enhancement schemes for
-    constraint processing", 1990). A node at budget 2 or more that fails
-    records (budget, tried), with ``tried`` as it stood on entry, under its
-    ``need``. A node whose ``need`` holds an entry with a budget at least
-    its own and a ``tried`` inside its own fails at once: every set it
-    could return is one that the recorded failure ruled out. Only failures
-    are skipped, so every set returned is the one the full search returns.
-    The table keeps what a successful search recorded on its way, which the
-    reconstruction asks again, and drops what a failed search recorded: its
-    caller goes on to a larger budget or to another element, where those
-    entries do not cut. Kept, they held about 30,000 entries of 4 kB each
-    on vertex 0 of ``H^5_5``, and none of them cut a node.
-
-    Budget 1 builds no hitter list. The one element lies in every pending
-    requirement, so the vertex masks of the three lowest pending ones, less
-    ``tried``, leave the only candidates, usually three or fewer, and each
-    is checked against all of ``need``; the lowest that passes is the one a
-    scan of the lowest requirement's hitters would return. The budget-2
-    loop runs the same test inline on what each first element leaves.
+    Two fast paths stay, because most nodes sit at budget 2 or less.
+    At budget 1 the one element lies in every pending requirement, so the
+    vertex masks of the three lowest pending ones, less ``tried``, leave
+    the only candidates, usually three or fewer, and each is checked against
+    all of ``need``; the lowest that passes is the one a scan of the lowest
+    requirement would return. Scanning the lowest requirement alone makes
+    the ``exact`` benchmark take about 1.5 times as long. Budget 2 runs the
+    same test inline on what each first element leaves instead of recursing,
+    which saves about 4% of ``exact``.
     """
-    found = _search(need, budget, hitters, tried)
-    log = hitters.log
-    if log:
-        if found is None:
-            nogoods = hitters.nogoods
-            for key in reversed(log):
-                entries = nogoods[key]
-                entries.pop()
-                if not entries:
-                    del nogoods[key]
-        log.clear()
-    return found
-
-
-def _search(need: int, budget: int, hitters: _Hitters, tried: int):
-    """``_hit`` below the top level: the branching, and the nogoods it
-    consults and records."""
     if not need:
         return 0
     if budget <= 0:
         return None
-    reqs, cover = hitters.reqs, hitters.cover
+    low = need & -need
+    cand = reqs[low.bit_length() - 1] & ~tried
     if budget == 1:
-        low = need & -need
-        cand = reqs[low.bit_length() - 1] & ~tried
         rest = need ^ low
         if rest and cand:
             low = rest & -rest
@@ -468,45 +400,38 @@ def _search(need: int, budget: int, hitters: _Hitters, tried: int):
                 return b
             cand ^= b
         return None
-    failed = hitters.nogoods.get(need)
-    if failed is not None:
-        for b0, t0 in failed:
-            if b0 >= budget and not t0 & ~tried:
-                return None
-    entry = tried
-    pairs = hitters[need & -need]
     if budget == 2:
         # one element of the rest must hit all of it: budget 1 inline
-        for b, c in pairs:
-            if not tried & b:
-                rest = need & ~c
-                if not rest:
-                    return b
-                low = rest & -rest
-                cand = reqs[low.bit_length() - 1] & ~tried
-                more = rest ^ low
-                if more and cand:
+        while cand:
+            b = cand & -cand
+            rest = need & ~cover[b.bit_length() - 1]
+            if not rest:
+                return b
+            low = rest & -rest
+            cand2 = reqs[low.bit_length() - 1] & ~tried
+            more = rest ^ low
+            if more and cand2:
+                low = more & -more
+                cand2 &= reqs[low.bit_length() - 1]
+                more ^= low
+                if more and cand2:
                     low = more & -more
-                    cand &= reqs[low.bit_length() - 1]
-                    more ^= low
-                    if more and cand:
-                        low = more & -more
-                        cand &= reqs[low.bit_length() - 1]
-                while cand:
-                    b2 = cand & -cand
-                    if not rest & ~cover[b2.bit_length() - 1]:
-                        return b | b2
-                    cand ^= b2
-                tried |= b
-    else:
-        for b, c in pairs:
-            if not tried & b:
-                sub = _search(need & ~c, budget - 1, hitters, tried)
-                if sub is not None:
-                    return sub | b
-                tried |= b
-    hitters.nogoods.setdefault(need, []).append((budget, entry))
-    hitters.log.append(need)
+                    cand2 &= reqs[low.bit_length() - 1]
+            while cand2:
+                b2 = cand2 & -cand2
+                if not rest & ~cover[b2.bit_length() - 1]:
+                    return b | b2
+                cand2 ^= b2
+            tried |= b
+            cand ^= b
+        return None
+    while cand:
+        b = cand & -cand
+        sub = _hit(need & ~cover[b.bit_length() - 1], budget - 1, reqs, cover, tried)
+        if sub is not None:
+            return sub | b
+        tried |= b
+        cand ^= b
     return None
 
 
@@ -516,21 +441,20 @@ def _min_args(rows, universe: int, y: int) -> tuple[int, list[int]]:
     Returns (k, ids) with ids the lexicographically least minimum set
     (ordered as a sorted id list), matching naive subset enumeration.
     """
-    need, hitters = _arg_system(rows, universe, y)
+    need, reqs, cover = _arg_system(rows, universe, y)
     if not need:
         return 0, []
     others = universe & ~(1 << y)
     nbrs = rows[y] & others
     # N(y) itself is an argument set, so the search stops by this budget
     for k in range(1, min(nbrs.bit_count(), (others & ~nbrs).bit_count()) + 1):
-        known = _hit(need, k, hitters)
+        known = _hit(need, k, reqs, cover)
         if known is not None:
             break
     # slot by slot, take the least e above the last choice that a set of the
     # remaining size above e completes. ``known`` is always such a completion,
     # so its least element needs no test, and an element hitting nothing
     # pending would make a smaller set, so it is skipped.
-    cover = hitters.cover
     chosen = []
     e = 0
     for budget in range(k - 1, -1, -1):
@@ -538,7 +462,7 @@ def _min_args(rows, universe: int, y: int) -> tuple[int, list[int]]:
         while e < first:
             c = cover[e]
             if c & need:
-                sub = _hit(need & ~c, budget, hitters, (2 << e) - 1)
+                sub = _hit(need & ~c, budget, reqs, cover, (2 << e) - 1)
                 if sub is not None:
                     known = sub | 1 << e
                     break
@@ -619,20 +543,20 @@ def _fun_branch(rows, mask: int, best: int) -> tuple[int, int]:
             return best, 1 << x | 1 << y
     systems = []
     for v in bit_ids(mask):
-        need, hitters = _arg_system(rows, mask, v)
-        args = _hit(need, best, hitters)
+        need, reqs, cover = _arg_system(rows, mask, v)
+        args = _hit(need, best, reqs, cover)
         if args is not None:
             return best, args | 1 << v
-        systems.append((v, need, hitters))
+        systems.append((v, need, reqs, cover))
     # every vertex needs more than `best` arguments: find the exact minimum
     low = None
-    for v, need, hitters in systems:
+    for v, need, reqs, cover in systems:
         deg = (rows[v] & mask).bit_count()
         hi = min(deg, m - 1 - deg)
         if low is not None:
             hi = min(hi, low - 1)
         for b in range(best + 1, hi + 1):
-            args = _hit(need, b, hitters)
+            args = _hit(need, b, reqs, cover)
             if args is not None:
                 low, branch = b, args | 1 << v
                 break

@@ -3,13 +3,14 @@
 The ``naive_*`` functions work from the definitions with plain loops and
 subset enumeration, independent of the bit-row kernels under test. The
 ``sweep_*``, ``seen_*``, ``listbb_*``, ``restricted_*``, ``hitterlist_*``,
-``pairloop_*``, ``edgelist_*``, ``profileloop_*`` and ``scan_*`` functions
-are the kernels that the package used before: full 2^n subset sweeps, a
-branch search over subsets that dedups its masks through a set of every mask
-pushed, a list-based hitting-set branch and bound, a transposed hitting-set
-kernel that rebuilds its candidate list restricted to the pending
-requirements at every node, a hitting-set search over per-requirement hitter
-lists that keeps no record of its failures, an m x m pair loop checking
+``nogood_*``, ``pairloop_*``, ``edgelist_*``, ``profileloop_*`` and
+``scan_*`` functions are the kernels that the package used before: full 2^n
+subset sweeps, a branch search over subsets that dedups its masks through a
+set of every mask pushed, a list-based hitting-set branch and bound, a
+transposed hitting-set kernel that rebuilds its candidate list restricted to
+the pending requirements at every node, a hitting-set search over cached
+per-requirement hitter lists that keeps no record of its failures, the same
+search recording its failures in a nogood table, an m x m pair loop checking
 half-graph orders, a pair loop checking the sd lemma with one ``sd_pair``
 and ``manhattan`` call per pair, an n x n pair loop testing
 K_{2,p}-freeness, a kept x kept pair loop building induced subgraphs, the
@@ -33,7 +34,6 @@ from funbox.intervals import SdLemmaReport, manhattan
 from funbox.parameters import (
     Witness,
     _check_vertex,
-    _Hitters,
     _degree_collision,
     _emit,
     pair_witness,
@@ -715,11 +715,43 @@ def restricted_min_args(rows, universe: int, y: int) -> tuple[int, list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# the hitter-list search replaced in funbox.parameters._hit by one that
-# records nogoods and tests budget 1 on vertex masks
+# the hitter-list searches replaced in funbox.parameters._hit by a stateless
+# one that walks each requirement's vertex mask: the first keeps no record of
+# its failures, the second records them as nogoods and tests budget 1 on
+# vertex masks. Both take their hitter lists from a per-system cache.
 # ---------------------------------------------------------------------------
 
-def hitterlist_hit(need: int, budget: int, hitters: _Hitters, tried: int = 0):
+class Hitters(dict):
+    """Requirement bit -> the elements hitting that requirement.
+
+    Each list holds (1 << e, cover[e]) for the elements e of the requirement,
+    in increasing id order, and is built the first time its bit is looked
+    up. ``cover[e]`` is the mask of every requirement bit e hits, pending or
+    not, so no list depends on the search that asks for it and one cache
+    serves every search on the same system. ``nogoods`` maps a pending mask
+    to the (budget, tried) pairs at which the search failed on it, and
+    ``log`` lists the masks of the entries that the running ``nogood_hit``
+    has made, in order, so that a failed search can take them back.
+    """
+
+    __slots__ = ("reqs", "cover", "nogoods", "log")
+
+    def __init__(self, reqs: list[int], cover: list[int]):
+        super().__init__()
+        self.reqs = reqs
+        self.cover = cover
+        self.nogoods = {}
+        self.log = []
+
+    def __missing__(self, low: int) -> list[tuple[int, int]]:
+        cover = self.cover
+        pairs = self[low] = [
+            (1 << e, cover[e]) for e in bit_ids(self.reqs[low.bit_length() - 1])
+        ]
+        return pairs
+
+
+def hitterlist_hit(need: int, budget: int, hitters: Hitters, tried: int = 0):
     """At most ``budget`` elements outside ``tried`` hitting every bit of ``need``.
 
     ``need`` is a mask of requirement bits, ``hitters`` the system's cache of
@@ -772,6 +804,122 @@ def hitterlist_hit(need: int, budget: int, hitters: _Hitters, tried: int = 0):
             if sub is not None:
                 return sub | b
             tried |= b
+    return None
+
+
+def nogood_hit(need: int, budget: int, hitters: Hitters, tried: int = 0):
+    """At most ``budget`` elements outside ``tried`` hitting every bit of ``need``.
+
+    ``need`` is a mask of requirement bits, ``hitters`` the system's cache of
+    hitter lists and ``tried`` a vertex mask. Returns the chosen elements as
+    a vertex mask, or None when no such set exists.
+
+    The search branches on the lowest pending requirement, the smallest at
+    the start, and tries its hitters in id order; a hitter that fails is
+    added to ``tried`` for the later branches, since every set holding it
+    was just ruled out. So a failure is absolute: None means that no set of
+    at most ``budget`` elements outside ``tried`` hits ``need``, whichever
+    search asked, and the k-search, the lexicographic reconstruction and
+    ``_fun_branch`` share one cache and pass their exclusions as ``tried``.
+
+    Failures are remembered as nogoods (Dechter, "Enhancement schemes for
+    constraint processing", 1990). A node at budget 2 or more that fails
+    records (budget, tried), with ``tried`` as it stood on entry, under its
+    ``need``. A node whose ``need`` holds an entry with a budget at least
+    its own and a ``tried`` inside its own fails at once: every set it
+    could return is one that the recorded failure ruled out. Only failures
+    are skipped, so every set returned is the one the full search returns.
+    The table keeps what a successful search recorded on its way, which the
+    reconstruction asks again, and drops what a failed search recorded: its
+    caller goes on to a larger budget or to another element, where those
+    entries do not cut. Kept, they held about 30,000 entries of 4 kB each
+    on vertex 0 of ``H^5_5``, and none of them cut a node.
+
+    Budget 1 builds no hitter list. The one element lies in every pending
+    requirement, so the vertex masks of the three lowest pending ones, less
+    ``tried``, leave the only candidates, usually three or fewer, and each
+    is checked against all of ``need``; the lowest that passes is the one a
+    scan of the lowest requirement's hitters would return. The budget-2
+    loop runs the same test inline on what each first element leaves.
+    """
+    found = nogood_search(need, budget, hitters, tried)
+    log = hitters.log
+    if log:
+        if found is None:
+            nogoods = hitters.nogoods
+            for key in reversed(log):
+                entries = nogoods[key]
+                entries.pop()
+                if not entries:
+                    del nogoods[key]
+        log.clear()
+    return found
+
+
+def nogood_search(need: int, budget: int, hitters: Hitters, tried: int):
+    """``nogood_hit`` below the top level: the branching, and the nogoods it
+    consults and records."""
+    if not need:
+        return 0
+    if budget <= 0:
+        return None
+    reqs, cover = hitters.reqs, hitters.cover
+    if budget == 1:
+        low = need & -need
+        cand = reqs[low.bit_length() - 1] & ~tried
+        rest = need ^ low
+        if rest and cand:
+            low = rest & -rest
+            cand &= reqs[low.bit_length() - 1]
+            rest ^= low
+            if rest and cand:
+                low = rest & -rest
+                cand &= reqs[low.bit_length() - 1]
+        while cand:
+            b = cand & -cand
+            if not need & ~cover[b.bit_length() - 1]:
+                return b
+            cand ^= b
+        return None
+    failed = hitters.nogoods.get(need)
+    if failed is not None:
+        for b0, t0 in failed:
+            if b0 >= budget and not t0 & ~tried:
+                return None
+    entry = tried
+    pairs = hitters[need & -need]
+    if budget == 2:
+        # one element of the rest must hit all of it: budget 1 inline
+        for b, c in pairs:
+            if not tried & b:
+                rest = need & ~c
+                if not rest:
+                    return b
+                low = rest & -rest
+                cand = reqs[low.bit_length() - 1] & ~tried
+                more = rest ^ low
+                if more and cand:
+                    low = more & -more
+                    cand &= reqs[low.bit_length() - 1]
+                    more ^= low
+                    if more and cand:
+                        low = more & -more
+                        cand &= reqs[low.bit_length() - 1]
+                while cand:
+                    b2 = cand & -cand
+                    if not rest & ~cover[b2.bit_length() - 1]:
+                        return b | b2
+                    cand ^= b2
+                tried |= b
+    else:
+        for b, c in pairs:
+            if not tried & b:
+                sub = nogood_search(need & ~c, budget - 1, hitters, tried)
+                if sub is not None:
+                    return sub | b
+                tried |= b
+    hitters.nogoods.setdefault(need, []).append((budget, entry))
+    hitters.log.append(need)
     return None
 
 

@@ -135,9 +135,11 @@ def test_usage_error_exit_2(tmp_path, capsys):
 
 
 def test_argparse_usage_error_is_2(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["gen", "not-a-family"])
-    assert err.value.code == 2
+    code = main(["gen", "not-a-family"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "not-a-family" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -228,6 +230,13 @@ def _labeled_graph(key, label):
         lambda t: ["verify", "abc-realize", "--sizes", "649", "--trials", "1"],
         lambda t: ({"FUNBOX_MAX_N": "abc"}, ["compute", "fun-graph", "-i", _q4_file(t)]),
         lambda t: ["compute", "sd-graph", "-i", _q4_file(t), "--max-n", "-1"],
+        lambda t: ["compute", "fun-graph", "-i", _q4_file(t), "--max-n", "abc"],
+        lambda t: ["verify", "nope"],
+        lambda t: ["compute", "fun-vertex"],
+        lambda t: ["compute", "fun-graph", "-i", str(t)],
+        lambda t: ["gen", "half", "-o", str(t)],
+        lambda t: ["verify", "lemma-sd", "--workers", "0"],
+        lambda t: ["verify", "lemma-sd", "--workers=-1"],
     ],
     ids=[
         "fun-graph-over-guard",
@@ -249,6 +258,13 @@ def _labeled_graph(key, label):
         "abc-realize-over-edge-limit",
         "max-n-env-not-an-integer",
         "max-n-below-0",
+        "max-n-not-an-integer",
+        "unknown-campaign",
+        "compute-without-input",
+        "input-is-a-directory",
+        "output-is-a-directory",
+        "workers-0",
+        "workers-below-0",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, make_argv):

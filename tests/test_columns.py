@@ -86,8 +86,7 @@ def test_arg_system_covers_on_sparse_systems(n, i):
         ids = meta.parts[side]
         for _ in range(3):
             y = ids[rng.below(len(ids))]
-            need, hitters = _arg_system(g.rows, g.full_mask, y)
-            reqs, cover = hitters.reqs, hitters.cover
+            need, reqs, cover = _arg_system(g.rows, g.full_mask, y)
             assert need == (1 << len(reqs)) - 1 and len(cover) == g.n
             assert not _dense(reqs, g.n)
             # each bit of each requirement sits in its column, and the

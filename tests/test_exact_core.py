@@ -1,13 +1,13 @@
 """The branching searches and the transposed hitting-set kernel against oracles.
 
 ``sd_graph`` and ``fun_graph`` branch on witnesses into disjoint subtrees and
-``fun_vertex`` runs on the transposed hitting-set kernel, which searches
-per-requirement hitter lists and records its failures as nogoods; the full
-subset sweeps, the branch search that dedups its masks through a ``seen``
-set, the list-based kernel, the kernel that rebuilt restricted candidate
-lists at every node and the hitter-list search without nogoods live on in
-``oracles`` as references. A digest pins every exact answer on a seeded
-corpus.
+``fun_vertex`` runs on the transposed hitting-set kernel, a stateless search
+that branches on the untried vertices of the lowest pending requirement; the
+full subset sweeps, the branch search that dedups its masks through a
+``seen`` set, the list-based kernel, the kernel that rebuilt restricted
+candidate lists at every node, and the searches over cached hitter lists
+with and without a nogood table live on in ``oracles`` as references. A
+digest pins every exact answer on a seeded corpus.
 """
 
 import hashlib
@@ -30,7 +30,6 @@ from funbox.parameters import (
     _fun_branch,
     _fun_floor,
     _hit,
-    _Hitters,
     _min_args,
     _min_pair_sd,
     _sd_branch,
@@ -38,11 +37,13 @@ from funbox.parameters import (
 )
 from funbox.rng import SplitMix64
 from oracles import (
+    Hitters,
     hitterlist_hit,
     listbb_min_args,
     naive_fun_graph,
     naive_sd_graph,
     naive_sd_pair,
+    nogood_hit,
     restricted_min_args,
     seen_branch_search,
     sweep_fun_graph,
@@ -228,19 +229,18 @@ def _brute_hittable(elems, reqs, need, budget, tried):
     )
 
 
-def _hitters_of(elems, reqs):
-    cover = [sum(1 << i for i, r in enumerate(reqs) if r >> e & 1) for e in range(elems)]
-    return _Hitters(reqs, cover)
+def _cover_of(elems, reqs):
+    return [sum(1 << i for i, r in enumerate(reqs) if r >> e & 1) for e in range(elems)]
 
 
 @given(hitting_instances())
 @settings(max_examples=400, deadline=None)
 def test_hit_matches_subset_enumeration(case):
     elems, reqs, need, tried = case
-    hitters = _hitters_of(elems, reqs)
+    cover = _cover_of(elems, reqs)
     for mask in (0, tried):
         for budget in range(elems + 2):
-            got = _hit(need, budget, hitters, mask)
+            got = _hit(need, budget, reqs, cover, mask)
             assert (got is not None) == _brute_hittable(elems, reqs, need, budget, mask)
             if got is not None:
                 assert got.bit_count() <= budget and not got & mask
@@ -273,30 +273,32 @@ def sparse_instances(draw):
 @given(sparse_instances())
 @settings(max_examples=300, deadline=None)
 def test_hit_with_nogoods_matches_hitter_list_search(case):
-    """One system answers a sequence of queries as a fresh system does.
+    """``_hit``, ``nogood_hit`` on one system across a sequence of queries,
+    and ``hitterlist_hit`` on a fresh system per query give the same sets.
 
     Each drawn need is asked at its least feasible budget plus ``slack``,
-    where a successful search keeps the failures on its way; then its need
-    less each element's cover at one budget lower, at the same budget and
-    with the smaller ``fewer`` mask, and the need itself at one budget more
-    and with ``fewer``. Many of these meet a recorded failure that they may
-    not use, which a reversed subsumption test would. A failed query must
-    leave the nogood table as it was."""
+    where a successful nogood search keeps the failures on its way; then
+    its need less each element's cover at one budget lower, at the same
+    budget and with the smaller ``fewer`` mask, and the need itself at one
+    budget more and with ``fewer``. Many of these meet a recorded failure
+    that they may not use, which a reversed subsumption test would. A failed
+    query must leave the nogood table as it was."""
     elems, reqs, draws = case
-    cover = [sum(1 << i for i, r in enumerate(reqs) if r >> e & 1) for e in range(elems)]
-    hitters = _hitters_of(elems, reqs)
+    cover = _cover_of(elems, reqs)
+    hitters = Hitters(reqs, cover)
 
     def check(need, budget, tried):
-        want = hitterlist_hit(need, budget, _hitters_of(elems, reqs), tried)
+        want = hitterlist_hit(need, budget, Hitters(reqs, cover), tried)
+        assert _hit(need, budget, reqs, cover, tried) == want
         table = {key: list(entries) for key, entries in hitters.nogoods.items()}
-        assert _hit(need, budget, hitters, tried) == want
+        assert nogood_hit(need, budget, hitters, tried) == want
         if want is None:  # a failed search leaves the table as it found it
             assert hitters.nogoods == table
 
     for need, tried, fewer, slack in draws:
         least = next(
             (b for b in range(elems + 1)
-             if hitterlist_hit(need, b, _hitters_of(elems, reqs), tried) is not None),
+             if hitterlist_hit(need, b, Hitters(reqs, cover), tried) is not None),
             elems,
         )
         budget = least + slack
@@ -314,13 +316,15 @@ def test_hit_with_nogoods_matches_hitter_list_search_on_argument_systems():
         n = 4 + rng.below(12)
         g = random_graph(n, 1 + rng.below(3), 4, rng.next_u64())
         y = rng.below(n)
-        need, hitters = _arg_system(g.rows, g.full_mask, y)
+        need, reqs, cover = _arg_system(g.rows, g.full_mask, y)
+        hitters = Hitters(reqs, cover)
         for _ in range(12):
             sub = need & rng.below(1 << need.bit_length())
             tried = rng.below(1 << n) & ~(1 << y)
             for budget, mask in ((2, tried), (3, tried), (2, tried & rng.below(1 << n))):
-                want = hitterlist_hit(sub, budget, _arg_system(g.rows, g.full_mask, y)[1], mask)
-                assert _hit(sub, budget, hitters, mask) == want
+                want = hitterlist_hit(sub, budget, Hitters(reqs, cover), mask)
+                assert nogood_hit(sub, budget, hitters, mask) == want
+                assert _hit(sub, budget, reqs, cover, mask) == want
 
 
 def test_hit_matches_subset_enumeration_on_argument_systems():
@@ -329,34 +333,33 @@ def test_hit_matches_subset_enumeration_on_argument_systems():
         n = 2 + rng.below(10)
         g = random_graph(n, 1 + rng.below(3), 4, rng.next_u64())
         y = rng.below(n)
-        need, hitters = _arg_system(g.rows, g.full_mask, y)
+        need, reqs, cover = _arg_system(g.rows, g.full_mask, y)
         tried = rng.below(1 << n) & ~(1 << y)
         for budget in range(n):
-            got = _hit(need, budget, hitters, tried)
-            assert (got is not None) == _brute_hittable(n, hitters.reqs, need, budget, tried)
+            got = _hit(need, budget, reqs, cover, tried)
+            assert (got is not None) == _brute_hittable(n, reqs, need, budget, tried)
 
 
 @given(kernel_graphs(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_banded_transpose_matches_one_band(g, data):
     y = data.draw(st.integers(0, g.n - 1))
-    need, hitters = _arg_system(g.rows, g.full_mask, y)
-    assert need == (1 << len(hitters.reqs)) - 1
+    need, reqs, cover = _arg_system(g.rows, g.full_mask, y)
+    assert need == (1 << len(reqs)) - 1
     for e in range(g.n):
-        assert hitters.cover[e] == sum(
-            1 << i for i, r in enumerate(hitters.reqs) if r >> e & 1
-        )
+        assert cover[e] == sum(1 << i for i, r in enumerate(reqs) if r >> e & 1)
     for text_max_n in (1, 2, 7):
         with patch.object(graphs, "_TEXT_MAX_N", text_max_n):
-            banded_need, banded = _arg_system(g.rows, g.full_mask, y)
-        assert (banded_need, banded.reqs, banded.cover) == (need, hitters.reqs, hitters.cover)
+            banded = _arg_system(g.rows, g.full_mask, y)
+        assert banded == (need, reqs, cover)
 
 
 def test_hitter_lists_hold_each_requirements_elements():
     g = random_graph(12, 1, 2, 360)
-    need, hitters = _arg_system(g.rows, g.full_mask, 0)
-    for i, r in enumerate(hitters.reqs):
-        assert hitters[1 << i] == [(1 << e, hitters.cover[e]) for e in bit_ids(r)]
+    _, reqs, cover = _arg_system(g.rows, g.full_mask, 0)
+    hitters = Hitters(reqs, cover)
+    for i, r in enumerate(reqs):
+        assert hitters[1 << i] == [(1 << e, cover[e]) for e in bit_ids(r)]
 
 
 # ------------------------------------------------------------- pinned answers

@@ -129,10 +129,10 @@ def test_hitting_set_equivalence_on_random_instances():
             r & s_mask for r in restricted_conflict_requirements(g.rows, g.full_mask, y)
         )
         assert direct == via_reqs
-        need, hitters = _arg_system(g.rows, g.full_mask, y)
+        need, _, cover = _arg_system(g.rows, g.full_mask, y)
         hit = 0
         for v in s:
-            hit |= hitters.cover[v]
+            hit |= cover[v]
         assert direct == (hit == need)
         assert direct == naive_is_function_of(g, y, s)
 
