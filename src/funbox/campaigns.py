@@ -29,6 +29,7 @@ from .constructions import (
     GEN_EDGE_COUNTS,
     GEN_MAX_EDGES,
     abc_graph,
+    check_hni_size,
     g_k,
     hypercube,
     point_box_incidence,
@@ -40,12 +41,11 @@ from .geometry import (
     realize_abc_intervals,
     realize_pointbox_plane,
 )
-from .graphs import Graph, GraphError, SizeLimitError, equal_labeled, mask_of
+from .graphs import Graph, SizeLimitError, _json_list, _json_object, equal_labeled, mask_of
 from .intervals import (
     IntervalRep,
     check_sd_lemma,
     find_low_fun_witness,
-    graph_from_intervals,
     normalize,
 )
 from .parameters import (
@@ -166,22 +166,10 @@ _INSTANCE_KEYS = ("index", "inputs", "outputs", "pass")
 
 def report_from_json(data) -> dict:
     """Check that loaded JSON has the report shape ``render_markdown`` reads."""
-    if not isinstance(data, dict):
-        raise GraphError("report JSON must be an object")
-    for key in _REPORT_KEYS:
-        if key not in data:
-            raise GraphError(f"report JSON is missing key {key!r}")
-    summary = data["summary"]
-    if not isinstance(summary, dict) or not {"passed", "total"} <= summary.keys():
-        raise GraphError("report JSON 'summary' must be an object with 'passed' and 'total'")
-    if not isinstance(data["instances"], list):
-        raise GraphError("report JSON 'instances' must be a list")
-    for i, rec in enumerate(data["instances"]):
-        if not isinstance(rec, dict) or not set(_INSTANCE_KEYS) <= rec.keys():
-            raise GraphError(
-                f"report instance {i} must be an object with keys "
-                "'index', 'inputs', 'outputs' and 'pass'"
-            )
+    _json_object(data, "report JSON", _REPORT_KEYS)
+    _json_object(data["summary"], "report JSON 'summary'", ("passed", "total"))
+    for i, rec in enumerate(_json_list(data["instances"], "report JSON 'instances'")):
+        _json_object(rec, f"report instance {i}", _INSTANCE_KEYS)
     return data
 
 
@@ -349,7 +337,7 @@ def _instance_abc_realize(params: dict) -> tuple[dict, bool]:
     _, sq_report = realize_abc_unit_squares(g, a, b, c)
     rep, iv_report = realize_abc_intervals(g, a, b, c)
     w = find_low_fun_witness(normalize(rep))
-    w_ok = witness_is_valid(graph_from_intervals(rep), w) and w.arity <= 8
+    w_ok = witness_is_valid(iv_report.realized_graph, w) and w.arity <= 8
     out = {
         "n": n,
         "squares_equal": sq_report.equal,
@@ -449,6 +437,8 @@ def _plan_gk_sd(rng: SplitMix64, cfg: CampaignConfig) -> list[dict]:
 
 def _plan_hni(rng: SplitMix64, cfg: CampaignConfig) -> list[dict]:
     top = max(cfg.sizes or [4])
+    if top >= 1:
+        check_hni_size(top, top)  # (top, top) is the largest instance
     return [{"n": n, "i": i} for n in range(1, top + 1) for i in range(1, n + 1)]
 
 

@@ -41,9 +41,15 @@ from .geometry import (
     realize_abc_unit_squares,
     realize_pointbox_plane,
 )
-from .graphs import GraphError, SizeLimitError, graph_from_json, graph_to_json
-from .intervals import (
+from .graphs import (
+    GraphError,
+    SizeLimitError,
+    _json_object,
     _json_pairs,
+    graph_from_json,
+    graph_to_json,
+)
+from .intervals import (
     find_low_fun_witness,
     interval_rep_from_json,
     interval_rep_to_json,
@@ -147,10 +153,8 @@ def _cmd_realize(args) -> int:
         )
         return 0 if report.equal else 1
     if args.kind == "pointbox-r3":
-        data = _load_json(args.input)
-        points = _json_pairs(data, "points", "point")
-        if "box_system" not in data:
-            raise GraphError("point-box JSON is missing key 'box_system'")
+        data = _json_object(_load_json(args.input), "point-box JSON", ("points", "box_system"))
+        points = tuple(_json_pairs(data["points"], "point-box JSON 'points'", "point"))
         bs = box_system_from_json(data["box_system"])
         bs3 = embed_pointbox_r3(points, bs)
         _emit_json(box_system_to_json(bs3), args.output)

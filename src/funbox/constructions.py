@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Sequence
 
-from .graphs import Graph, GraphError, SizeLimitError, _columns
+from .graphs import MAX_VERTICES, Graph, GraphError, SizeLimitError, _columns
 
-HYPERCUBE_MAX_DIM = 16
-HNI_MAX_VERTICES = 1 << HYPERCUBE_MAX_DIM
+HYPERCUBE_MAX_DIM = MAX_VERTICES.bit_length() - 1
 
 # The JSON edge list costs about 420 bytes per edge, so a dense family whose
 # edge count, from its closed form in n and k, is larger is refused.
@@ -241,6 +240,17 @@ def extend_gk_to_abc(
     return out, meta_out, embed
 
 
+def check_hni_size(n: int, i: int) -> None:
+    """Refuse an H^n_i with more than MAX_VERTICES vertices, n^i + i*n^(i-1)."""
+    # n^i >= 2^i once n >= 2 (n = 1 forces i = 1), so a large i alone settles it
+    # before any huge power is formed
+    if i >= MAX_VERTICES.bit_length() or n**i + i * n ** (i - 1) > MAX_VERTICES:
+        raise SizeLimitError(
+            f"H^n_i with n={n}, i={i} has n^i + i*n^(i-1) vertices, "
+            f"more than the limit {MAX_VERTICES}"
+        )
+
+
 def point_box_incidence(n: int, i: int) -> tuple[Graph, ConstructionLabels]:
     """Recursive bipartite incidence family: |P| = n^i, |Box| = i * n^(i-1).
 
@@ -253,16 +263,7 @@ def point_box_incidence(n: int, i: int) -> tuple[Graph, ConstructionLabels]:
         raise GraphError("point_box_incidence needs n >= 1")
     if not 1 <= i <= n:
         raise GraphError(f"level must satisfy 1 <= i <= n, got {i}")
-    # n^i >= 2^i once n >= 2 (n = 1 forces i = 1), so a large i alone settles it
-    # before any huge power is formed
-    if (
-        i >= HNI_MAX_VERTICES.bit_length()
-        or n**i + i * n ** (i - 1) > HNI_MAX_VERTICES
-    ):
-        raise SizeLimitError(
-            f"H^n_i with n={n}, i={i} has n^i + i*n^(i-1) vertices, "
-            f"more than the limit {HNI_MAX_VERTICES}"
-        )
+    check_hni_size(n, i)
     # box rows as point masks in level-local ids: level 1 is one box over n
     # points; level j holds n shifted copies of level j-1 and then, per
     # level-(j-1) point, one box over that point's n copies

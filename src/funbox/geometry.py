@@ -17,8 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, GraphError, _columns, _json_int, _json_labels, equal_labeled
-from .intervals import IntervalRep, _int_pairs, _overlap_rows, graph_from_intervals
+from .graphs import (
+    Graph,
+    GraphError,
+    _columns,
+    _json_int,
+    _json_labels,
+    _json_list,
+    _json_object,
+    _json_pairs,
+    equal_labeled,
+)
+from .intervals import IntervalRep, _overlap_rows, graph_from_intervals
 from .parameters import check_abc_partition
 
 
@@ -75,17 +85,10 @@ def box_system_to_json(bs: BoxSystem) -> dict:
 
 
 def box_system_from_json(data: dict) -> BoxSystem:
-    if not isinstance(data, dict):
-        raise GraphError(
-            "box system JSON must be an object with keys 'd', 'scale_denominator', 'boxes'"
-        )
-    for key in ("d", "scale_denominator", "boxes"):
-        if key not in data:
-            raise GraphError(f"box system JSON is missing key {key!r}")
-    if not isinstance(data["boxes"], (list, tuple)):
-        raise GraphError("box system JSON 'boxes' must be a list")
+    data = _json_object(data, "box system JSON", ("d", "scale_denominator", "boxes"))
     boxes = tuple(
-        _int_pairs(box, f"box {idx}", "box side") for idx, box in enumerate(data["boxes"])
+        tuple(_json_pairs(box, f"box {idx}", "box side"))
+        for idx, box in enumerate(_json_list(data["boxes"], "box system JSON 'boxes'"))
     )
     return BoxSystem(
         d=_json_int(data["d"], "'d'"),

@@ -6,6 +6,10 @@ All algorithms in the package work on these rows with bitwise kernels, and
 one transpose, ``_columns``, serves every kernel that needs a matrix's
 columns: ``Graph`` validation, the hitting-set system and the point-box
 builders.
+
+Every file reader checks its JSON with the shape helpers defined here:
+``_json_object``, ``_json_list``, ``_json_pairs``, ``_json_int`` and
+``_json_labels``, which raise ``GraphError`` with a one-line message.
 """
 
 from __future__ import annotations
@@ -19,6 +23,11 @@ class GraphError(ValueError):
 
 class SizeLimitError(RuntimeError):
     """An exact search was asked to exceed its configured size guard."""
+
+
+# The largest vertex count a generator writes (``hypercube(16)`` and the
+# H^n_i cap) and that a graph file may hold.
+MAX_VERTICES = 1 << 16
 
 
 def bit_ids(mask: int) -> Iterator[int]:
@@ -216,26 +225,46 @@ def graph_to_json(g: Graph) -> dict:
     return data
 
 
+def _json_object(data, what: str, keys: Sequence[str] = ()) -> dict:
+    """``data`` if it is an object holding every key of ``keys``."""
+    if not isinstance(data, dict):
+        raise GraphError(f"{what} must be an object")
+    for key in keys:
+        if key not in data:
+            raise GraphError(f"{what} is missing key {key!r}")
+    return data
+
+
+def _json_list(value, where: str):
+    if not isinstance(value, (list, tuple)):
+        raise GraphError(f"{where} must be a list")
+    return value
+
+
 def _json_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise GraphError(f"{what} must be an integer, got {value!r}")
     return value
 
 
-def graph_from_json(data: dict) -> Graph:
-    if not isinstance(data, dict):
-        raise GraphError("graph JSON must be an object with keys 'n' and 'edges'")
-    for key in ("n", "edges"):
-        if key not in data:
-            raise GraphError(f"graph JSON is missing key {key!r}")
-    n = _json_int(data["n"], "'n'")
-    if not isinstance(data["edges"], (list, tuple)):
-        raise GraphError("graph JSON 'edges' must be a list")
-    rows = [0] * n
-    for item in data["edges"]:
+def _json_pairs(items, where: str, what: str) -> Iterator[tuple[int, int]]:
+    """Yield the entries of the list ``items`` (named ``where``) as integer
+    pairs; ``what`` names one entry in the error messages."""
+    coordinate = f"{what} coordinate"
+    for item in _json_list(items, where):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise GraphError(f"edge {item!r} must be a pair of vertex ids")
-        u, v = (_json_int(x, "vertex id") for x in item)
+            raise GraphError(f"{what} {item!r} must be a pair of integers")
+        a, b = item
+        yield _json_int(a, coordinate), _json_int(b, coordinate)
+
+
+def graph_from_json(data: dict) -> Graph:
+    data = _json_object(data, "graph JSON", ("n", "edges"))
+    n = _json_int(data["n"], "'n'")
+    if n > MAX_VERTICES:
+        raise SizeLimitError(f"graph JSON has {n} vertices, more than the limit {MAX_VERTICES}")
+    rows = [0] * n
+    for u, v in _json_pairs(data["edges"], "graph JSON 'edges'", "edge"):
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u},{v}) out of range 0..{n - 1}")
         if u == v:
@@ -252,10 +281,8 @@ def _json_labels(data: dict, what: str, n: int) -> dict[int, str] | None:
     given = data.get("labels")
     if given is None or given == {}:
         return None
-    if not isinstance(given, dict):
-        raise GraphError(f"{what} JSON 'labels' must be an object")
     labels = {}
-    for key, label in given.items():
+    for key, label in _json_object(given, f"{what} JSON 'labels'").items():
         # keys as graph_to_json writes them: decimal ids with no sign, space,
         # underscore or leading zero, and no longer than n (so int() is cheap)
         if not (

@@ -20,11 +20,11 @@ box intersections", 2002). All comparisons are exact integer comparisons.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from operator import or_
 
-from .graphs import Graph, GraphError, _json_int
+from .graphs import Graph, GraphError, _json_int, _json_object, _json_pairs
 from .parameters import Witness, _emit, pair_witness
 
 
@@ -78,31 +78,10 @@ def interval_rep_to_json(rep: IntervalRep) -> dict:
     }
 
 
-def _json_pairs(data, key: str, what: str) -> tuple[tuple[int, int], ...]:
-    """``data[key]`` as a tuple of integer pairs; GraphError on any other shape."""
-    if not isinstance(data, dict):
-        raise GraphError(f"{what} JSON must be an object with key {key!r}")
-    if key not in data:
-        raise GraphError(f"{what} JSON is missing key {key!r}")
-    return _int_pairs(data[key], f"{what} JSON {key!r}", what)
-
-
-def _int_pairs(items, where: str, what: str) -> tuple[tuple[int, int], ...]:
-    """``items`` as a tuple of integer pairs; GraphError on any other shape."""
-    if not isinstance(items, (list, tuple)):
-        raise GraphError(f"{where} must be a list")
-    pairs = []
-    for item in items:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise GraphError(f"{what} entry {item!r} must be a pair of integers")
-        pairs.append(tuple(_json_int(x, f"{what} coordinate") for x in item))
-    return tuple(pairs)
-
-
 def interval_rep_from_json(data: dict) -> IntervalRep:
-    intervals = _json_pairs(data, "intervals", "interval")
+    data = _json_object(data, "interval JSON", ("intervals",))
     return IntervalRep(
-        intervals=intervals,
+        intervals=tuple(_json_pairs(data["intervals"], "interval JSON 'intervals'", "interval")),
         scale_denominator=_json_int(
             data.get("scale_denominator", 1), "'scale_denominator'"
         ),
@@ -114,7 +93,8 @@ def point_rep_to_json(rep: PointRep) -> dict:
 
 
 def point_rep_from_json(data: dict) -> PointRep:
-    return PointRep(points=_json_pairs(data, "points", "point"))
+    data = _json_object(data, "point JSON", ("points",))
+    return PointRep(points=tuple(_json_pairs(data["points"], "point JSON 'points'", "point")))
 
 
 def _overlap_rows(a_boxes, b_boxes) -> list[int]:
@@ -247,8 +227,8 @@ def find_low_fun_witness(rep: PointRep) -> Witness:
     crowded = [key for key, ids in blocks.items() if len(ids) >= 2]
     if crowded:
         x, y = blocks[min(crowded)][:2]  # each block lists its ids in order
-        w = pair_witness(g, x, y, "distinguishers")
-        return _emit(g, Witness(w.target, w.args, w.table, "stripe-case1"))
+        # pair_witness has validated the witness; only its origin changes
+        return replace(pair_witness(g, x, y, "distinguishers"), origin="stripe-case1")
 
     # every block holds at most one point: locate a non-marginal one
     leftmost: dict[int, int] = {}

@@ -53,7 +53,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable
 
-from .graphs import Graph, GraphError, SizeLimitError, _columns, _json_int, bit_ids, mask_of
+from .graphs import Graph, GraphError, SizeLimitError, _columns, bit_ids, mask_of
+from .graphs import _json_int, _json_list, _json_object
 
 FUN_MAX_N_DEFAULT = 12
 SD_MAX_N_DEFAULT = 14
@@ -109,18 +110,11 @@ def witness_to_json(w: Witness) -> dict:
 
 
 def witness_from_json(data: dict) -> Witness:
-    if not isinstance(data, dict):
-        raise GraphError(
-            "witness JSON must be an object with keys 'target', 'args', "
-            "'table_bits' and 'origin'"
-        )
-    for key in ("target", "args", "table_bits", "origin"):
-        if key not in data:
-            raise GraphError(f"witness JSON is missing key {key!r}")
+    data = _json_object(data, "witness JSON", ("target", "args", "table_bits", "origin"))
     target = _json_int(data["target"], "witness 'target'")
-    if not isinstance(data["args"], list):
-        raise GraphError("witness JSON 'args' must be a list")
-    args = tuple(_json_int(a, "witness argument") for a in data["args"])
+    args = tuple(
+        _json_int(a, "witness argument") for a in _json_list(data["args"], "witness JSON 'args'")
+    )
     bits, origin = data["table_bits"], data["origin"]
     if not isinstance(bits, str) or not isinstance(origin, str):
         raise GraphError("witness JSON 'table_bits' and 'origin' must be strings")
@@ -444,10 +438,8 @@ def _min_args(rows, universe: int, y: int) -> tuple[int, list[int]]:
     need, reqs, cover = _arg_system(rows, universe, y)
     if not need:
         return 0, []
-    others = universe & ~(1 << y)
-    nbrs = rows[y] & others
-    # N(y) itself is an argument set, so the search stops by this budget
-    for k in range(1, min(nbrs.bit_count(), (others & ~nbrs).bit_count()) + 1):
+    # N(y) itself is an argument set, so the deepening stops by |N(y)|
+    for k in itertools.count(1):
         known = _hit(need, k, reqs, cover)
         if known is not None:
             break
@@ -548,21 +540,13 @@ def _fun_branch(rows, mask: int, best: int) -> tuple[int, int]:
         if args is not None:
             return best, args | 1 << v
         systems.append((v, need, reqs, cover))
-    # every vertex needs more than `best` arguments: find the exact minimum
-    low = None
-    for v, need, reqs, cover in systems:
-        deg = (rows[v] & mask).bit_count()
-        hi = min(deg, m - 1 - deg)
-        if low is not None:
-            hi = min(hi, low - 1)
-        for b in range(best + 1, hi + 1):
+    # every vertex needs more than `best` arguments: deepen the budget and
+    # take the first vertex whose system it meets (N(v) always does by deg(v))
+    for b in itertools.count(best + 1):
+        for v, need, reqs, cover in systems:
             args = _hit(need, b, reqs, cover)
             if args is not None:
-                low, branch = b, args | 1 << v
-                break
-    if low is None:
-        raise AssertionError("subset minimum escaped its degree bound")
-    return low, branch
+                return b, args | 1 << v
 
 
 def fun_graph(g: Graph, max_n: int | None = None) -> int:

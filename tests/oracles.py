@@ -28,8 +28,7 @@ from operator import or_
 from typing import Iterable
 
 from funbox import ConstructionLabels, Graph, GraphError, from_edge_list, intervals
-from funbox.constructions import HNI_MAX_VERTICES
-from funbox.graphs import SizeLimitError, bit_ids, mask_of
+from funbox.graphs import MAX_VERTICES as HNI_MAX_VERTICES, SizeLimitError, bit_ids, mask_of
 from funbox.intervals import SdLemmaReport, manhattan
 from funbox.parameters import (
     Witness,

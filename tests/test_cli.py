@@ -204,6 +204,11 @@ def _json_file(tmp_path, name, payload):
     return str(path)
 
 
+def _sd_pair_argv(tmp_path, n):
+    path = _json_file(tmp_path, "g.json", {"n": n, "edges": []})
+    return ["compute", "sd-pair", "-i", path, "--x", "0", "--y", "1"]
+
+
 def _labeled_graph(key, label):
     return {"n": 2, "edges": [[0, 1]], "labels": {str(key): label}}
 
@@ -237,6 +242,9 @@ def _labeled_graph(key, label):
         lambda t: ["gen", "half", "-o", str(t)],
         lambda t: ["verify", "lemma-sd", "--workers", "0"],
         lambda t: ["verify", "lemma-sd", "--workers=-1"],
+        lambda t: _sd_pair_argv(t, (1 << 16) + 1),
+        lambda t: _sd_pair_argv(t, 10**12),
+        lambda t: ["verify", "hni", "--sizes", "6"],
     ],
     ids=[
         "fun-graph-over-guard",
@@ -265,6 +273,9 @@ def _labeled_graph(key, label):
         "output-is-a-directory",
         "workers-0",
         "workers-below-0",
+        "graph-n-over-limit",
+        "graph-n-far-over-limit",
+        "hni-over-vertex-limit",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, make_argv):
@@ -285,6 +296,7 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, make_arg
         {"intervals": 3},
         {"scale_denominator": 1},
         {"intervals": [[0, 1, 2]]},
+        {"intervals": [3]},
         {"intervals": [[0, "1"]]},
         {"intervals": [[True, 1]]},
         {"intervals": [[0, 1.5]]},
@@ -377,6 +389,32 @@ def test_readme_gen_usage_matches_parser():
     assert listed == _gen_families()
 
 
+# family -> (gen arguments, the generator call they make)
+_GEN_ROUND_TRIPS = {
+    "half": (["--n", "4"], lambda: fb.half_graph(4)),
+    "abc": (["--n", "4", "--perm", "2,1,4,3"], lambda: fb.abc_graph(4, (2, 1, 4, 3))),
+    "gk": (["--k", "2"], lambda: fb.g_k(2)),
+    "gk-abc": (["--k", "2"], lambda: fb.extend_gk_to_abc(*fb.g_k(2))),
+    "hni": (["--n", "3", "--i", "2"], lambda: fb.point_box_incidence(3, 2)),
+    "hypercube": (["--n", "3"], lambda: fb.hypercube(3)),
+}
+
+
+def test_gen_round_trips_cover_every_family():
+    assert list(_GEN_ROUND_TRIPS) == _gen_families()
+
+
+@pytest.mark.parametrize("family", list(_GEN_ROUND_TRIPS))
+def test_gen_file_round_trips_through_graph_from_json(tmp_path, capsys, family):
+    args, build = _GEN_ROUND_TRIPS[family]
+    path = tmp_path / "g.json"
+    code, _ = run_cli(capsys, "gen", family, *args, "-o", str(path))
+    assert code == 0
+    back = fb.graph_from_json(json.loads(path.read_text()))
+    g = build()[0]
+    assert back.rows == g.rows and back.labels == g.labels
+
+
 def test_gen_edge_guard_closed_forms_match_built_graphs():
     assert set(GEN_EDGE_COUNTS) < set(_gen_families())
     built = [("half", n, 0, fb.half_graph(n)[0]) for n in range(1, 9)]
@@ -407,6 +445,7 @@ _INSTANCE = _REPORT["instances"][0]
         {**_REPORT, "summary": [1, 1]},
         {**_REPORT, "summary": {"passed": 1}},
         {**_REPORT, "instances": {"0": _INSTANCE}},
+        {**_REPORT, "instances": 5},
         {**_REPORT, "instances": [[0, {}, {}, True]]},
         {**_REPORT, "instances": [{k: v for k, v in _INSTANCE.items() if k != "pass"}]},
     ],
@@ -416,6 +455,7 @@ _INSTANCE = _REPORT["instances"][0]
         "summary-not-object",
         "summary-without-total",
         "instances-not-list",
+        "instances-a-number",
         "instance-not-object",
         "instance-without-pass",
     ],

@@ -113,6 +113,11 @@ def test_json_round_trip():
     assert back.labels == g.labels
 
 
+def test_json_edgeless_graph_at_the_vertex_limit_loads():
+    g = fb.graph_from_json({"n": 1 << 16, "edges": []})
+    assert g.n == 1 << 16 and g.edge_count() == 0
+
+
 def test_json_rejects_duplicate_edges():
     with pytest.raises(GraphError):
         fb.graph_from_json({"n": 3, "edges": [[0, 1], [1, 0]]})
@@ -130,6 +135,10 @@ def test_json_rejects_duplicate_edges():
         {"n": 2, "edges": [[0, 1.0]]},
         {"n": 2, "edges": [[0, True]]},
         {"n": 2, "edges": [[0, 1, 1]]},
+        {"n": 2, "edges": [5]},
+        {"n": 2, "edges": [[0, 2]]},
+        {"n": 2, "edges": [[-1, 0]]},
+        {"n": 2, "edges": [None]},
         {"n": 2, "edges": {"0": 1}},
         {"n": 2, "edges": [], "labels": ["A:1"]},
         {"n": 2, "edges": [], "labels": []},
@@ -140,6 +149,19 @@ def test_json_rejects_duplicate_edges():
 def test_json_rejects_malformed_input(data):
     with pytest.raises(GraphError):
         fb.graph_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([[1, 1], [0, 5]], "self-loop at vertex 1"),
+        ([[0, 5], [1, 1]], r"edge \(0,5\) out of range"),
+        ([[0, 1], [1, 0], [2, 2]], r"duplicate edge \(1,0\)"),
+    ],
+)
+def test_json_names_the_first_bad_edge(edges, message):
+    with pytest.raises(GraphError, match=message):
+        fb.graph_from_json({"n": 3, "edges": edges})
 
 
 @pytest.mark.parametrize(

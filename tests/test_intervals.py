@@ -168,7 +168,15 @@ def test_point_rep_json_round_trip():
 
 @pytest.mark.parametrize(
     "payload",
-    [[[1, 2]], {}, {"points": 3}, {"points": [[1]]}, {"points": [[1, "2"]]}, {"points": [[False, 2]]}],
+    [
+        [[1, 2]],
+        {},
+        {"points": 3},
+        {"points": [[1]]},
+        {"points": [7]},
+        {"points": [[1, "2"]]},
+        {"points": [[False, 2]]},
+    ],
 )
 def test_point_rep_json_shape_is_checked(payload):
     from funbox.intervals import point_rep_from_json

@@ -289,6 +289,8 @@ def test_witness_is_valid_rejects_out_of_range_target(target):
         {"target": 0, "args": [1], "table_bits": 1, "origin": "x"},
         {"target": 0, "args": [1], "table_bits": "01", "origin": None},
         {"target": 0, "args": [1], "table_bits": "01"},
+        {"target": 0, "args": [1], "table_bits": "0", "origin": "x"},
+        {"target": 0, "args": [1], "table_bits": "0a", "origin": "x"},
     ],
     ids=[
         "top-level-list",
@@ -301,6 +303,8 @@ def test_witness_is_valid_rejects_out_of_range_target(target):
         "table-bits-int",
         "origin-none",
         "missing-origin",
+        "table-bits-too-short",
+        "table-bits-not-binary",
     ],
 )
 def test_witness_from_json_rejects_bad_shapes(data):
