@@ -26,9 +26,8 @@ from typing import Callable
 
 from . import __version__
 from .constructions import (
-    GEN_EDGE_COUNTS,
-    GEN_MAX_EDGES,
     abc_graph,
+    check_gen_edges,
     check_hni_size,
     g_k,
     hypercube,
@@ -41,7 +40,7 @@ from .geometry import (
     realize_abc_intervals,
     realize_pointbox_plane,
 )
-from .graphs import Graph, SizeLimitError, _json_list, _json_object, equal_labeled, mask_of
+from .graphs import Graph, GraphError, _json_int, _json_list, _json_object, equal_labeled, mask_of
 from .intervals import (
     IntervalRep,
     check_sd_lemma,
@@ -49,6 +48,8 @@ from .intervals import (
     normalize,
 )
 from .parameters import (
+    FUN_MAX_N_DEFAULT,
+    SD_MAX_N_DEFAULT,
     _cached_k2p_free,
     _cached_triangle_free,
     _min_pair_sd,
@@ -66,17 +67,13 @@ class ConfigError(ValueError):
     """Bad campaign name or configuration."""
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass
 class CampaignConfig:
     seed: int = 1
     sizes: list[int] | None = None
     trials: int | None = None
-    fun_max_n: int = 12
-    sd_max_n: int = 14
+    fun_max_n: int = FUN_MAX_N_DEFAULT
+    sd_max_n: int = SD_MAX_N_DEFAULT
     output: str | None = None
     format: str = "json"
 
@@ -88,32 +85,23 @@ class CampaignConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "CampaignConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("campaign config must be a JSON object")
-        limits = data.get("limits", {})
-        if not isinstance(limits, dict):
-            raise ConfigError("config 'limits' must be an object")
-        values = {
-            "seed": data.get("seed", 1),
-            "sizes": data.get("sizes"),
-            "trials": data.get("trials"),
-            "fun_max_n": limits.get("fun_max_n", 12),
-            "sd_max_n": limits.get("sd_max_n", 14),
-            "output": data.get("output"),
-            "format": data.get("format", "json"),
-        }
-        for key in ("seed", "trials", "fun_max_n", "sd_max_n"):
-            value = values[key]
-            if not _is_int(value) and not (key == "trials" and value is None):
-                raise ConfigError(f"config {key!r} must be an integer, got {value!r}")
-        sizes = values["sizes"]
-        if sizes is not None and (
-            not isinstance(sizes, list) or not all(map(_is_int, sizes))
-        ):
-            raise ConfigError(f"config 'sizes' must be a list of integers, got {sizes!r}")
-        if not isinstance(values["output"], (str, type(None))):
-            raise ConfigError(f"config 'output' must be a string, got {values['output']!r}")
-        return cls(**values)
+        try:
+            data = _json_object(data, "campaign config")
+            limits = _json_object(data.get("limits", {}), "config 'limits'")
+            sizes, trials = data.get("sizes"), data.get("trials")
+            if sizes is not None:
+                sizes = [_json_int(s, "config size") for s in _json_list(sizes, "config 'sizes'")]
+            if trials is not None:
+                trials = _json_int(trials, "config 'trials'")
+            seed = _json_int(data.get("seed", 1), "config 'seed'")
+            fun_max_n = _json_int(limits.get("fun_max_n", FUN_MAX_N_DEFAULT), "config 'fun_max_n'")
+            sd_max_n = _json_int(limits.get("sd_max_n", SD_MAX_N_DEFAULT), "config 'sd_max_n'")
+        except GraphError as exc:
+            raise ConfigError(str(exc)) from None
+        output = data.get("output")
+        if not isinstance(output, (str, type(None))):
+            raise ConfigError(f"config 'output' must be a string, got {output!r}")
+        return cls(seed, sizes, trials, fun_max_n, sd_max_n, output, data.get("format", "json"))
 
     def to_json(self) -> dict:
         return {
@@ -393,8 +381,8 @@ def _sampled(
     """Plan of ``cfg.trials or trials`` instances, each drawing n from
     ``cfg.sizes or sizes``, then (``edge_p``) an edge probability p_num/4,
     then a seed; ``fun_limited`` caps the size pool at ``cfg.fun_max_n``,
-    and ``family`` names the ``GEN_EDGE_COUNTS`` entry that bounds the edges
-    an instance of size n can build."""
+    and ``family`` names the generator family whose edge count at size n
+    bounds what an instance can build (see ``check_gen_edges``)."""
 
     def plan(rng: SplitMix64, cfg: CampaignConfig) -> list[dict]:
         pool = cfg.sizes or sizes
@@ -405,12 +393,7 @@ def _sampled(
                 f"sizes up to {max(pool)} exceed the fun_max_n limit {cfg.fun_max_n}"
             )
         if family:
-            edges = GEN_EDGE_COUNTS[family](max(pool), 0)
-            if edges > GEN_MAX_EDGES:
-                raise SizeLimitError(
-                    f"size {max(pool)} can build {edges} edges ({family}), "
-                    f"over {GEN_MAX_EDGES}"
-                )
+            check_gen_edges(family, max(pool))
         plans = []
         for _ in range(cfg.trials or trials):
             params = {"n": pool[rng.below(len(pool))]}
@@ -429,9 +412,7 @@ def _plan_gk_sd(rng: SplitMix64, cfg: CampaignConfig) -> list[dict]:
     sizes = cfg.sizes or [2, 3, 4]
     if min(sizes) < 2:
         raise ConfigError(f"gk-sd needs every k >= 2, got {min(sizes)}")
-    edges = GEN_EDGE_COUNTS["gk"](0, max(sizes))
-    if edges > GEN_MAX_EDGES:
-        raise SizeLimitError(f"gk-sd k={max(sizes)} has {edges} edges, over {GEN_MAX_EDGES}")
+    check_gen_edges("gk", k=max(sizes))
     return [{"k": k, "check_coordinates": k <= 3} for k in sizes]
 
 
@@ -500,7 +481,7 @@ def verify_campaign(
 ) -> CampaignReport:
     """Run a named campaign; the report is deterministic for a fixed config."""
     cfg = cfg or CampaignConfig()
-    if not _is_int(workers) or workers < 1:
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     if name not in CAMPAIGNS:
         raise ConfigError(f"unknown campaign {name!r}; choose from {CAMPAIGN_NAMES}")

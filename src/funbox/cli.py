@@ -23,10 +23,9 @@ from .campaigns import (
     verify_campaign,
 )
 from .constructions import (
-    GEN_EDGE_COUNTS,
-    GEN_MAX_EDGES,
     abc_graph,
     abc_parts,
+    check_gen_edges,
     extend_gk_to_abc,
     g_k,
     half_graph,
@@ -77,15 +76,19 @@ def _emit_json(data: dict, path: str | None) -> None:
     _emit_text(json.dumps(data, indent=2, sort_keys=True), path)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str | None):
+    """The JSON in file ``path``; no path, or too deep a nesting, is a GraphError."""
+    if path is None:
+        raise GraphError("this command needs an input file: pass -i / --input")
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise GraphError(f"{path} is nested too deeply to read") from None
 
 
 def _cmd_gen(args) -> int:
-    edges = GEN_EDGE_COUNTS.get(args.family, lambda n, k: 0)(args.n, args.k)
-    if edges > GEN_MAX_EDGES:
-        raise SizeLimitError(f"gen {args.family} has {edges} edges, over {GEN_MAX_EDGES}")
+    check_gen_edges(args.family, args.n, args.k)
     if args.family == "half":
         g, _ = half_graph(args.n)
     elif args.family == "abc":
@@ -154,7 +157,8 @@ def _cmd_realize(args) -> int:
         return 0 if report.equal else 1
     if args.kind == "pointbox-r3":
         data = _json_object(_load_json(args.input), "point-box JSON", ("points", "box_system"))
-        points = tuple(_json_pairs(data["points"], "point-box JSON 'points'", "point"))
+        pairs = _json_pairs(data["points"], "point-box JSON 'points'", "point", capped=True)
+        points = tuple(pairs)
         bs = box_system_from_json(data["box_system"])
         bs3 = embed_pointbox_r3(points, bs)
         _emit_json(box_system_to_json(bs3), args.output)
@@ -163,9 +167,7 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    base = _load_json(args.config) if args.config else {}
-    if not isinstance(base, dict):
-        raise ConfigError("campaign config must be a JSON object")
+    base = _json_object(_load_json(args.config), "campaign config") if args.config else {}
     overrides = {
         "seed": args.seed,
         "trials": args.trials,

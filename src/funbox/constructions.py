@@ -8,7 +8,7 @@ Every generator builds adjacency rows as masks; none goes through an edge
 list. The ABC-type families (three cliques joined by two half graphs:
 abc_graph, g_k, extend_gk_to_abc) share one row kernel, _triple_rows, and
 point_box_incidence builds its box rows level by level and takes the point
-rows as their columns. Dense families are capped by GEN_EDGE_COUNTS.
+rows as their columns. Dense families are capped by ``check_gen_edges``.
 """
 
 from __future__ import annotations
@@ -238,6 +238,17 @@ def extend_gk_to_abc(
         embed[c] = 2 * big + k * (i - 1)
     out, meta_out = _abc(x_pos, y_pos, {"n": big, "from_gk": k})
     return out, meta_out, embed
+
+
+def check_gen_edges(family: str, n: int = 0, k: int = 0) -> None:
+    """Refuse a ``family`` graph whose ``GEN_EDGE_COUNTS`` closed form in n
+    and k is over GEN_MAX_EDGES; a family with no entry there passes."""
+    edges = GEN_EDGE_COUNTS[family](n, k) if family in GEN_EDGE_COUNTS else 0
+    if edges > GEN_MAX_EDGES:
+        raise SizeLimitError(
+            f"{family} with n={n}, k={k} has {edges} edges, "
+            f"more than the limit {GEN_MAX_EDGES}"
+        )
 
 
 def check_hni_size(n: int, i: int) -> None:

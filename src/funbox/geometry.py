@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .constructions import point_box_incidence
 from .graphs import (
     Graph,
     GraphError,
@@ -86,10 +87,8 @@ def box_system_to_json(bs: BoxSystem) -> dict:
 
 def box_system_from_json(data: dict) -> BoxSystem:
     data = _json_object(data, "box system JSON", ("d", "scale_denominator", "boxes"))
-    boxes = tuple(
-        tuple(_json_pairs(box, f"box {idx}", "box side"))
-        for idx, box in enumerate(_json_list(data["boxes"], "box system JSON 'boxes'"))
-    )
+    boxes = _json_list(data["boxes"], "box system JSON 'boxes'", capped=True)
+    boxes = tuple(tuple(_json_pairs(box, f"box {i}", "box side")) for i, box in enumerate(boxes))
     return BoxSystem(
         d=_json_int(data["d"], "'d'"),
         scale_denominator=_json_int(data["scale_denominator"], "'scale_denominator'"),
@@ -136,8 +135,6 @@ def realize_pointbox_plane(
     y-coordinates without leaving any containing box. Coordinates live on a
     grid refined by a factor of 2n+2 per level so the shifts always fit.
     """
-    from .constructions import point_box_incidence
-
     target, _meta = point_box_incidence(n, i)  # validates n, i
     s = 2 * n + 2
     step = [s ** (i - j) if j >= 1 else 0 for j in range(i + 1)]

@@ -9,7 +9,9 @@ builders.
 
 Every file reader checks its JSON with the shape helpers defined here:
 ``_json_object``, ``_json_list``, ``_json_pairs``, ``_json_int`` and
-``_json_labels``, which raise ``GraphError`` with a one-line message.
+``_json_labels``, which raise ``GraphError`` with a one-line message, and
+``_json_count``, which caps a file's vertices or list entries with
+``SizeLimitError``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class SizeLimitError(RuntimeError):
 
 
 # The largest vertex count a generator writes (``hypercube(16)`` and the
-# H^n_i cap) and that a graph file may hold.
+# H^n_i cap), and the most vertices, intervals, points or boxes a file may hold.
 MAX_VERTICES = 1 << 16
 
 
@@ -235,9 +237,19 @@ def _json_object(data, what: str, keys: Sequence[str] = ()) -> dict:
     return data
 
 
-def _json_list(value, where: str):
+def _json_count(count: int, where: str, what: str = "entries") -> int:
+    """``count`` if a file may hold that many ``what``: at most MAX_VERTICES."""
+    if count > MAX_VERTICES:
+        raise SizeLimitError(f"{where} has {count} {what}, more than the limit {MAX_VERTICES}")
+    return count
+
+
+def _json_list(value, where: str, capped=False):
+    """``value`` if it is a list; ``capped`` also bounds its length (``_json_count``)."""
     if not isinstance(value, (list, tuple)):
         raise GraphError(f"{where} must be a list")
+    if capped:
+        _json_count(len(value), where)
     return value
 
 
@@ -247,11 +259,12 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _json_pairs(items, where: str, what: str) -> Iterator[tuple[int, int]]:
+def _json_pairs(items, where: str, what: str, capped=False) -> Iterator[tuple[int, int]]:
     """Yield the entries of the list ``items`` (named ``where``) as integer
-    pairs; ``what`` names one entry in the error messages."""
+    pairs; ``what`` names one entry in the error messages, and ``capped``
+    bounds their number (see ``_json_list``)."""
     coordinate = f"{what} coordinate"
-    for item in _json_list(items, where):
+    for item in _json_list(items, where, capped):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise GraphError(f"{what} {item!r} must be a pair of integers")
         a, b = item
@@ -260,9 +273,7 @@ def _json_pairs(items, where: str, what: str) -> Iterator[tuple[int, int]]:
 
 def graph_from_json(data: dict) -> Graph:
     data = _json_object(data, "graph JSON", ("n", "edges"))
-    n = _json_int(data["n"], "'n'")
-    if n > MAX_VERTICES:
-        raise SizeLimitError(f"graph JSON has {n} vertices, more than the limit {MAX_VERTICES}")
+    n = _json_count(_json_int(data["n"], "'n'"), "graph JSON", "vertices")
     rows = [0] * n
     for u, v in _json_pairs(data["edges"], "graph JSON 'edges'", "edge"):
         if not (0 <= u < n and 0 <= v < n):

@@ -80,8 +80,9 @@ def interval_rep_to_json(rep: IntervalRep) -> dict:
 
 def interval_rep_from_json(data: dict) -> IntervalRep:
     data = _json_object(data, "interval JSON", ("intervals",))
+    pairs = _json_pairs(data["intervals"], "interval JSON 'intervals'", "interval", capped=True)
     return IntervalRep(
-        intervals=tuple(_json_pairs(data["intervals"], "interval JSON 'intervals'", "interval")),
+        intervals=tuple(pairs),
         scale_denominator=_json_int(
             data.get("scale_denominator", 1), "'scale_denominator'"
         ),
@@ -94,7 +95,8 @@ def point_rep_to_json(rep: PointRep) -> dict:
 
 def point_rep_from_json(data: dict) -> PointRep:
     data = _json_object(data, "point JSON", ("points",))
-    return PointRep(points=tuple(_json_pairs(data["points"], "point JSON 'points'", "point")))
+    points = _json_pairs(data["points"], "point JSON 'points'", "point", capped=True)
+    return PointRep(points=tuple(points))
 
 
 def _overlap_rows(a_boxes, b_boxes) -> list[int]:

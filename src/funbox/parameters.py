@@ -170,21 +170,31 @@ def _emit(g: Graph, w: Witness) -> Witness:
     return w
 
 
-def _resolve_limit(max_n, default: int) -> int:
-    """The size guard: ``max_n`` if given, else FUNBOX_MAX_N if set, else
-    ``default``. A guard that is not a non-negative integer is a GraphError
-    that names where it came from."""
+def _check_guard(g: Graph, max_n, default: int, search: str) -> None:
+    """Refuse ``search`` on more vertices than its guard: ``max_n`` if given,
+    else FUNBOX_MAX_N if set, else ``default``. A guard that is not a
+    non-negative integer is a GraphError naming where it came from."""
+    env = os.environ.get("FUNBOX_MAX_N")
     if max_n is not None:
         source, limit = "max_n / --max-n", max_n
+    elif env:
+        source, limit = "FUNBOX_MAX_N", int(env) if env.strip().isdecimal() else env
     else:
-        env = os.environ.get("FUNBOX_MAX_N")
-        if not env:
-            return default
-        source = "FUNBOX_MAX_N"
-        limit = int(env) if env.strip().isdecimal() else env
+        source, limit = "default", default
     if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
         raise GraphError(f"{source} must be a non-negative integer, got {limit!r}")
-    return limit
+    if g.n > limit:
+        raise SizeLimitError(
+            f"{search} guard is {limit} vertices (got {g.n}); raise max_n or FUNBOX_MAX_N"
+        )
+
+
+def _check_arity(k: int) -> None:
+    """Refuse a witness with more than TABLE_ARITY_LIMIT arguments."""
+    if k > TABLE_ARITY_LIMIT:
+        raise SizeLimitError(
+            f"witness table would need 2^{k} entries (limit 2^{TABLE_ARITY_LIMIT})"
+        )
 
 
 def _check_vertex(g: Graph, v: int, name: str = "vertex") -> None:
@@ -292,12 +302,7 @@ def sd_graph(g: Graph, max_n: int | None = None) -> int:
     S - y with x forced, and drops a subtree in which both are forced (see
     ``_branch_search``). 0 for graphs with fewer than 2 vertices.
     """
-    limit = _resolve_limit(max_n, SD_MAX_N_DEFAULT)
-    if g.n > limit:
-        raise SizeLimitError(
-            f"sd_graph guard is {limit} vertices (got {g.n}); "
-            "raise max_n or FUNBOX_MAX_N"
-        )
+    _check_guard(g, max_n, SD_MAX_N_DEFAULT, "sd_graph")
     return _branch_search(g.full_mask, partial(_sd_branch, g.rows), _sd_floor)
 
 
@@ -467,12 +472,7 @@ def _min_args(rows, universe: int, y: int) -> tuple[int, list[int]]:
 
 
 def _witness_from_args(g: Graph, y: int, args: list[int], origin: str) -> Witness:
-    arity = len(args)
-    if arity > TABLE_ARITY_LIMIT:
-        raise SizeLimitError(
-            f"witness table would need 2^{arity} entries "
-            f"(limit 2^{TABLE_ARITY_LIMIT})"
-        )
+    _check_arity(len(args))
     args_t = tuple(args)
     skip = (1 << y) | mask_of(args_t, g.n)
     table = 0
@@ -558,12 +558,7 @@ def fun_graph(g: Graph, max_n: int | None = None) -> int:
     a vertex of B - F by the first one they miss, and drops the subtree when
     B lies inside F (see ``_branch_search``).
     """
-    limit = _resolve_limit(max_n, FUN_MAX_N_DEFAULT)
-    if g.n > limit:
-        raise SizeLimitError(
-            f"fun_graph guard is {limit} vertices (got {g.n}); "
-            "raise max_n or FUNBOX_MAX_N"
-        )
+    _check_guard(g, max_n, FUN_MAX_N_DEFAULT, "fun_graph")
     return _branch_search(g.full_mask, partial(_fun_branch, g.rows), _fun_floor)
 
 
@@ -598,10 +593,7 @@ def pair_witness(g: Graph, x: int, y: int, mode: str) -> Witness:
         raise GraphError(f"unknown pair_witness mode: {mode!r}")
     args = [y] + list(bit_ids(zmask))
     k = len(args)
-    if k > TABLE_ARITY_LIMIT:
-        raise SizeLimitError(
-            f"witness table would need 2^{k} entries (limit 2^{TABLE_ARITY_LIMIT})"
-        )
+    _check_arity(k)
     table = _identity_table(k)
     if mode == "nondistinguishers":
         table = ~table & ((1 << (1 << k)) - 1)

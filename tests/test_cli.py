@@ -6,8 +6,15 @@ from pathlib import Path
 import pytest
 
 import funbox as fb
-from funbox.campaigns import CAMPAIGN_NAMES, CAMPAIGNS, random_permutation
-from funbox.cli import GEN_EDGE_COUNTS, build_parser, main
+from funbox.campaigns import (
+    CAMPAIGN_NAMES,
+    CAMPAIGNS,
+    CampaignConfig,
+    ConfigError,
+    random_permutation,
+)
+from funbox.cli import build_parser, main
+from funbox.constructions import GEN_EDGE_COUNTS
 
 
 def run_cli(capsys, *argv):
@@ -213,6 +220,12 @@ def _labeled_graph(key, label):
     return {"n": 2, "edges": [[0, 1]], "labels": {str(key): label}}
 
 
+def _nested_file(tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000)
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [
@@ -245,6 +258,13 @@ def _labeled_graph(key, label):
         lambda t: _sd_pair_argv(t, (1 << 16) + 1),
         lambda t: _sd_pair_argv(t, 10**12),
         lambda t: ["verify", "hni", "--sizes", "6"],
+        lambda t: ["realize", "abc-units"],
+        lambda t: ["realize", "abc-intervals"],
+        lambda t: ["realize", "pointbox-r3"],
+        lambda t: ["compute", "fun-graph", "-i", _nested_file(t)],
+        lambda t: ["witness", "interval", "-i", _nested_file(t)],
+        lambda t: ["verify", "hni", "--config", _nested_file(t)],
+        lambda t: ["report", "--in", _nested_file(t)],
     ],
     ids=[
         "fun-graph-over-guard",
@@ -276,6 +296,13 @@ def _labeled_graph(key, label):
         "graph-n-over-limit",
         "graph-n-far-over-limit",
         "hni-over-vertex-limit",
+        "realize-abc-units-without-input",
+        "realize-abc-intervals-without-input",
+        "realize-pointbox-r3-without-input",
+        "compute-nested-json",
+        "witness-nested-json",
+        "config-nested-json",
+        "report-nested-json",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, make_argv):
@@ -288,6 +315,43 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, make_arg
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# One entry more than a file may hold (graphs.MAX_VERTICES). Each entry is
+# malformed, so a reader without the cap fails fast on its first entry
+# instead, with another message.
+_OVER_FILE_CAP = (1 << 16) + 1
+
+
+def _pointbox_file(tmp_path, points, boxes):
+    box_system = {"d": 2, "scale_denominator": 1, "boxes": boxes}
+    return _json_file(tmp_path, "pb.json", {"points": points, "box_system": box_system})
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        lambda t: [
+            "witness", "interval", "-i",
+            _json_file(t, "r.json", {"intervals": [[1, 0]] * _OVER_FILE_CAP}),
+        ],
+        lambda t: [
+            "realize", "pointbox-r3", "-i",
+            _pointbox_file(t, [[1, 1, 1]] * _OVER_FILE_CAP, [[[0, 2], [0, 2]]]),
+        ],
+        lambda t: [
+            "realize", "pointbox-r3", "-i",
+            _pointbox_file(t, [[1, 1]], [[[0, 2]]] * _OVER_FILE_CAP),
+        ],
+    ],
+    ids=["intervals", "pointbox-points", "boxes"],
+)
+def test_file_list_over_the_cap_exits_2_naming_the_limit(tmp_path, capsys, make_argv):
+    code = main(make_argv(tmp_path))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"{_OVER_FILE_CAP} entries, more than the limit {1 << 16}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -310,24 +374,30 @@ def test_malformed_interval_json_is_2(tmp_path, capsys, payload):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "payload",
-    [
-        {"sizes": ["3"]},
-        {"sizes": [True]},
-        {"seed": "1"},
-        {"trials": 2.0},
-        {"trials": ""},
-        {"limits": [12, 14]},
-        {"limits": {"fun_max_n": None}},
-        {"output": 5},
-    ],
-)
+_MALFORMED_CONFIGS = [
+    {"sizes": ["3"]},
+    {"sizes": [True]},
+    {"seed": "1"},
+    {"trials": 2.0},
+    {"trials": ""},
+    {"limits": [12, 14]},
+    {"limits": {"fun_max_n": None}},
+    {"output": 5},
+]
+
+
+@pytest.mark.parametrize("payload", _MALFORMED_CONFIGS)
 def test_malformed_config_json_is_2(tmp_path, capsys, payload):
     code = main(["verify", "hni", "--config", _json_file(tmp_path, "c.json", payload)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("payload", _MALFORMED_CONFIGS + [{"sizes": 0}, [1, 2]])
+def test_config_from_json_raises_config_error(payload):
+    with pytest.raises(ConfigError):
+        CampaignConfig.from_json(payload)
 
 
 _BOXES = {"d": 2, "scale_denominator": 1, "boxes": [[[0, 2], [0, 2]]]}
@@ -377,16 +447,29 @@ def test_verify_choices_match_table():
     assert campaign.choices == list(CAMPAIGNS)
 
 
-def _gen_families():
+def _choices(command, dest):
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return next(a for a in commands.choices["gen"]._actions if a.dest == "family").choices
+    return next(a for a in commands.choices[command]._actions if a.dest == dest).choices
+
+
+def _gen_families():
+    return _choices("gen", "family")
 
 
 def test_readme_gen_usage_matches_parser():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    listed = re.search(r"^funbox gen \{([^}]*)\}", readme, re.M).group(1).split("|")
-    assert listed == _gen_families()
+    usage = re.search(r"^## CLI\n+```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+
+    def listed(command):
+        # the choices of every `funbox COMMAND {a|b}` or `funbox COMMAND a` line
+        lines = re.findall(rf"^funbox {command} (?:\{{([^}}]*)\}}|(\S+))", usage, re.M)
+        return [c for braced, plain in lines for c in (braced or plain).split("|")]
+
+    assert listed("gen") == _gen_families()
+    assert listed("compute") == _choices("compute", "what")
+    assert listed("witness") == _choices("witness", "kind")
+    assert listed("realize") == _choices("realize", "kind")
 
 
 # family -> (gen arguments, the generator call they make)

@@ -183,3 +183,13 @@ def test_point_rep_json_shape_is_checked(payload):
 
     with pytest.raises(GraphError):
         point_rep_from_json(payload)
+
+
+def test_point_rep_json_over_the_file_cap_is_a_size_limit_error():
+    from funbox.graphs import MAX_VERTICES, SizeLimitError
+    from funbox.intervals import point_rep_from_json
+
+    # malformed entries: a reader without the cap fails on the first one instead
+    payload = {"points": [[1]] * (MAX_VERTICES + 1)}
+    with pytest.raises(SizeLimitError, match="more than the limit"):
+        point_rep_from_json(payload)
