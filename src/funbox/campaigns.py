@@ -381,8 +381,8 @@ def _sampled(
     """Plan of ``cfg.trials or trials`` instances, each drawing n from
     ``cfg.sizes or sizes``, then (``edge_p``) an edge probability p_num/4,
     then a seed; ``fun_limited`` caps the size pool at ``cfg.fun_max_n``,
-    and ``family`` names the generator family whose edge count at size n
-    bounds what an instance can build (see ``check_gen_edges``)."""
+    and ``family`` names the model whose edge count at size n bounds what an
+    instance can build (see ``check_gen_edges``)."""
 
     def plan(rng: SplitMix64, cfg: CampaignConfig) -> list[dict]:
         pool = cfg.sizes or sizes
@@ -440,10 +440,10 @@ class Campaign:
 
 CAMPAIGNS: dict[str, Campaign] = {
     "lemma-sd": Campaign(
-        _sampled(500, range(1, 61), coord_range=1000, family="half"), _instance_lemma_sd
+        _sampled(500, range(1, 61), coord_range=1000, family="interval model"), _instance_lemma_sd
     ),
     "thm-fun8": Campaign(
-        _sampled(500, range(1, 61), coord_range=1000, family="half"), _instance_thm_fun8
+        _sampled(500, range(1, 61), coord_range=1000, family="interval model"), _instance_thm_fun8
     ),
     "gk-sd": Campaign(_plan_gk_sd, _instance_gk_sd),
     "hni": Campaign(_plan_hni, _instance_hni),

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success / all instances pass, 1 any verification failure,
 2 usage or configuration error, malformed input, or an input over a size
-guard. The FUNBOX_MAX_N environment variable overrides the exact-search
-size guards.
+guard. ``realize`` exits 1 with one ``error:`` line when a model fails its
+own self-check (its rebuilt graph differs from the target). The
+FUNBOX_MAX_N environment variable overrides the exact-search size guards.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .constructions import (
     point_box_incidence,
 )
 from .geometry import (
+    RealizationError,
     box_system_from_json,
     box_system_to_json,
     embed_pointbox_r3,
@@ -138,32 +140,23 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    if args.kind in ("abc-units", "abc-intervals"):
+    if args.kind == "pointbox-plane":
+        pts, bs, _ = realize_pointbox_plane(args.n, args.i)
+        data = {"points": [list(p) for p in pts], "box_system": box_system_to_json(bs)}
+    elif args.kind == "pointbox-r3":
+        pb = _json_object(_load_json(args.input), "point-box JSON", ("points", "box_system"))
+        points = _json_pairs(pb["points"], "point-box JSON 'points'", "point", capped=True)
+        bs = box_system_from_json(pb["box_system"])
+        data = box_system_to_json(embed_pointbox_r3(tuple(points), bs))
+    else:
         g = graph_from_json(_load_json(args.input))
         a, b, c = abc_parts(g)
         if args.kind == "abc-units":
-            bs, report = realize_abc_unit_squares(g, a, b, c)
-            _emit_json(box_system_to_json(bs), args.output)
+            data = box_system_to_json(realize_abc_unit_squares(g, a, b, c)[0])
         else:
-            rep, report = realize_abc_intervals(g, a, b, c)
-            _emit_json(interval_rep_to_json(rep), args.output)
-        return 0 if report.equal else 1
-    if args.kind == "pointbox-plane":
-        pts, bs, report = realize_pointbox_plane(args.n, args.i)
-        _emit_json(
-            {"points": [list(p) for p in pts], "box_system": box_system_to_json(bs)},
-            args.output,
-        )
-        return 0 if report.equal else 1
-    if args.kind == "pointbox-r3":
-        data = _json_object(_load_json(args.input), "point-box JSON", ("points", "box_system"))
-        pairs = _json_pairs(data["points"], "point-box JSON 'points'", "point", capped=True)
-        points = tuple(pairs)
-        bs = box_system_from_json(data["box_system"])
-        bs3 = embed_pointbox_r3(points, bs)
-        _emit_json(box_system_to_json(bs3), args.output)
-        return 0
-    raise GraphError(f"unknown realization {args.kind!r}")
+            data = interval_rep_to_json(realize_abc_intervals(g, a, b, c)[0])
+    _emit_json(data, args.output)
+    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -277,7 +270,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except PremiseViolation as exc:
+    except (PremiseViolation, RealizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (

@@ -36,6 +36,9 @@ GEN_EDGE_COUNTS = {
     "gk": lambda n, k: (2 * k + 2) * _pairs(k**3) + _pairs(k**4),
     "gk-abc": lambda n, k: 5 * _pairs(k**4),
 }
+# The same cap bounds the interval models that campaigns draw: n intervals
+# meet in at most C(n,2) pairs.
+_EDGE_COUNTS = {**GEN_EDGE_COUNTS, "interval model": GEN_EDGE_COUNTS["half"]}
 
 
 @dataclass(frozen=True)
@@ -241,9 +244,10 @@ def extend_gk_to_abc(
 
 
 def check_gen_edges(family: str, n: int = 0, k: int = 0) -> None:
-    """Refuse a ``family`` graph whose ``GEN_EDGE_COUNTS`` closed form in n
-    and k is over GEN_MAX_EDGES; a family with no entry there passes."""
-    edges = GEN_EDGE_COUNTS[family](n, k) if family in GEN_EDGE_COUNTS else 0
+    """Refuse a ``family`` graph, a ``gen`` family or ``"interval model"``,
+    whose closed-form edge count in n and k is over GEN_MAX_EDGES; a family
+    with no closed form passes."""
+    edges = _EDGE_COUNTS[family](n, k) if family in _EDGE_COUNTS else 0
     if edges > GEN_MAX_EDGES:
         raise SizeLimitError(
             f"{family} with n={n}, k={k} has {edges} edges, "

@@ -9,7 +9,8 @@ same per-axis sort-and-mask kernel as interval graphs
 ``lo == hi`` on every axis. An incidence graph runs the kernel once, for the
 point rows, and takes the box rows as their columns (``graphs._columns``).
 Each realization operation rebuilds the graph from its own geometry and
-raises if it does not match the target exactly.
+passes it, with the target graph, through one gate (``_checked``) that raises
+``RealizationError`` unless the two match exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .graphs import (
     _json_pairs,
     equal_labeled,
 )
-from .intervals import IntervalRep, _overlap_rows, graph_from_intervals
+from .intervals import IntervalRep, _intersection_graph, _overlap_rows, graph_from_intervals
 from .parameters import check_abc_partition
 
 
@@ -99,12 +100,7 @@ def box_system_from_json(data: dict) -> BoxSystem:
 
 def graph_from_boxes(bs: BoxSystem) -> Graph:
     """Intersection graph of the closed boxes, index-aligned."""
-    rows = _overlap_rows(bs.boxes, bs.boxes)
-    return Graph(
-        len(rows),
-        [row & ~(1 << u) for u, row in enumerate(rows)],
-        dict(bs.labels) if bs.labels else None,
-    )
+    return _intersection_graph(bs.boxes, dict(bs.labels) if bs.labels else None)
 
 
 def incidence_graph(points: Sequence[tuple[int, int]], bs: BoxSystem) -> Graph:
@@ -117,6 +113,14 @@ def incidence_graph(points: Sequence[tuple[int, int]], bs: BoxSystem) -> Graph:
     pt_rows = _overlap_rows(pt_boxes, bs.boxes)
     box_rows = _columns(pt_rows, len(bs.boxes))
     return Graph(np_ + len(box_rows), [row << np_ for row in pt_rows] + box_rows)
+
+
+def _checked(target: Graph, realized: Graph, model: str, unit=None) -> RealizationReport:
+    """The report of a ``model`` whose rebuilt graph ``realized`` equals
+    ``target`` bit for bit; any difference raises RealizationError."""
+    if not equal_labeled(realized, target):
+        raise RealizationError(f"{model} does not reproduce its target graph")
+    return RealizationReport(target, realized, equal=True, unit=unit)
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +166,7 @@ def realize_pointbox_plane(
         scale_denominator=s ** (i - 1),
         boxes=tuple(boxes),
     )
-    realized = incidence_graph(pts, bs)
-    if not equal_labeled(realized, target):
-        raise RealizationError(
-            f"plane realization of H^{n}_{i} does not reproduce the incidence graph"
-        )
-    report = RealizationReport(target, realized, equal=True)
+    report = _checked(target, incidence_graph(pts, bs), f"plane realization of H^{n}_{i}")
     return tuple(pts), bs, report
 
 
@@ -196,25 +195,13 @@ def embed_pointbox_r3(
         z = 3 * idx
         out.append(((3 * x0, 3 * x1), (3 * y0, 3 * y1), (z, z + 1)))
     result = BoxSystem(d=3, scale_denominator=3 * bs.scale_denominator, boxes=tuple(out))
-    target = incidence_graph(points, bs)
-    if not equal_labeled(graph_from_boxes(result), target):
-        raise RealizationError("3D embedding does not reproduce the incidence graph")
+    _checked(incidence_graph(points, bs), graph_from_boxes(result), "3D embedding")
     return result
 
 
 # ---------------------------------------------------------------------------
 # ABC realizations (unit squares and intervals)
 # ---------------------------------------------------------------------------
-
-def _abc_positions(g, a, b, c):
-    """Recovered orders mapped to per-vertex 1-based position indices."""
-    report = check_abc_partition(g, a, b, c)
-    pos_a = {v: idx for idx, v in enumerate(report.order_a, start=1)}
-    pos_b_ab = {v: idx for idx, v in enumerate(report.order_b_ab, start=1)}
-    pos_b_bc = {v: idx for idx, v in enumerate(report.order_b_bc, start=1)}
-    pos_c = {v: idx for idx, v in enumerate(report.order_c, start=1)}
-    return report.n, pos_a, pos_b_ab, pos_b_bc, pos_c
-
 
 def realize_abc_unit_squares(
     g: Graph, a, b, c
@@ -226,18 +213,18 @@ def realize_abc_unit_squares(
     and x-offsets realizing the B-C half graph; C-squares sit to the right,
     y-overlapping every B-square, with an x-gap separating them from all of A.
     """
-    n, pos_a, pos_b_ab, pos_b_bc, pos_c = _abc_positions(g, a, b, c)
-    side = 4 * n
-    xc, yc = 6 * n, side + 1
+    abc = check_abc_partition(g, a, b, c)
+    pos_b_bc = {v: m for m, v in enumerate(abc.order_b_bc, start=1)}
+    side = 4 * abc.n
+    xc, yc = 6 * abc.n, side + 1
     sq = {}
-    for v, i in pos_a.items():
+    for i, v in enumerate(abc.order_a, start=1):
         sq[v] = ((-i, side - i), (-i, side - i))
-    for v, j in pos_b_ab.items():
-        m = pos_b_bc[v]
-        x0 = xc - side - m - 1
+    for j, v in enumerate(abc.order_b_ab, start=1):
+        x0 = xc - side - pos_b_bc[v] - 1
         y0 = side - j + 1
         sq[v] = ((x0, x0 + side), (y0, y0 + side))
-    for v, j in pos_c.items():
+    for j, v in enumerate(abc.order_c, start=1):
         sq[v] = ((xc - j, xc - j + side), (yc - j, yc - j + side))
     bs = BoxSystem(
         d=2,
@@ -245,10 +232,7 @@ def realize_abc_unit_squares(
         boxes=tuple(sq[v] for v in range(g.n)),
         labels=dict(g.labels) if g.labels else None,
     )
-    realized = graph_from_boxes(bs)
-    if not equal_labeled(realized, g):
-        raise RealizationError("unit-square model does not reproduce the ABC graph")
-    return bs, RealizationReport(g, realized, equal=True, unit=bs.is_unit())
+    return bs, _checked(g, graph_from_boxes(bs), "unit-square model", unit=bs.is_unit())
 
 
 def realize_abc_intervals(
@@ -259,18 +243,16 @@ def realize_abc_intervals(
     a_i = [0, 10(n-i)+5]; a B vertex with A-side index j and C-side index m
     gets [10(n-j)+8, 100n-10m]; c_j = [100n-10j+5, 100n+10].
     """
-    n, pos_a, pos_b_ab, pos_b_bc, pos_c = _abc_positions(g, a, b, c)
+    abc = check_abc_partition(g, a, b, c)
+    pos_b_bc = {v: m for m, v in enumerate(abc.order_b_bc, start=1)}
+    n = abc.n
     q = 100 * n
     iv = {}
-    for v, i in pos_a.items():
+    for i, v in enumerate(abc.order_a, start=1):
         iv[v] = (0, 10 * (n - i) + 5)
-    for v, j in pos_b_ab.items():
-        m = pos_b_bc[v]
-        iv[v] = (10 * (n - j) + 8, q - 10 * m)
-    for v, j in pos_c.items():
+    for j, v in enumerate(abc.order_b_ab, start=1):
+        iv[v] = (10 * (n - j) + 8, q - 10 * pos_b_bc[v])
+    for j, v in enumerate(abc.order_c, start=1):
         iv[v] = (q - 10 * j + 5, q + 10)
     rep = IntervalRep(intervals=tuple(iv[v] for v in range(g.n)))
-    realized = graph_from_intervals(rep)
-    if not equal_labeled(realized, g):
-        raise RealizationError("interval model does not reproduce the ABC graph")
-    return rep, RealizationReport(g, realized, equal=True)
+    return rep, _checked(g, graph_from_intervals(rep), "interval model")

@@ -125,11 +125,15 @@ def _overlap_rows(a_boxes, b_boxes) -> list[int]:
     return rows
 
 
+def _intersection_graph(boxes, labels=None) -> Graph:
+    """Intersection graph of the closed ``boxes``, index-aligned."""
+    rows = _overlap_rows(boxes, boxes)
+    return Graph(len(rows), [row & ~(1 << u) for u, row in enumerate(rows)], labels)
+
+
 def graph_from_intervals(rep: IntervalRep) -> Graph:
     """Intersection graph of the closed intervals, index-aligned."""
-    boxes = [(iv,) for iv in rep.intervals]
-    rows = _overlap_rows(boxes, boxes)
-    return Graph(rep.n, [row & ~(1 << u) for u, row in enumerate(rows)])
+    return _intersection_graph([(iv,) for iv in rep.intervals])
 
 
 def graph_from_points(rep: PointRep) -> Graph:

@@ -614,19 +614,20 @@ class StructureReport:
     p: int
 
 
+def _memo(g: Graph, key, compute):
+    """``compute()``, computed once per graph and kept in ``g._cache[key]``."""
+    if key not in g._cache:
+        g._cache[key] = compute()
+    return g._cache[key]
+
+
 def _cached_triangle_free(g: Graph) -> bool:
-    if "triangle_free" not in g._cache:
-        ok = True
-        for u in range(g.n):
-            row = g.rows[u]
-            for v in bit_ids(row >> (u + 1) << (u + 1)):
-                if row & g.rows[v]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        g._cache["triangle_free"] = ok
-    return g._cache["triangle_free"]
+    rows = g.rows
+    # a triangle is an edge uv, u < v, whose ends share a neighbour
+    triangles = (
+        row & rows[v] for u, row in enumerate(rows) for v in bit_ids(row >> (u + 1) << (u + 1))
+    )
+    return _memo(g, "triangle_free", lambda: not any(triangles))
 
 
 def _k2p_free(rows, p: int) -> bool:
@@ -651,17 +652,15 @@ def _k2p_free(rows, p: int) -> bool:
 
 
 def _cached_k2p_free(g: Graph, p: int) -> bool:
-    key = ("k2p_free", p)
-    if key not in g._cache:
-        g._cache[key] = _k2p_free(g.rows, p)
-    return g._cache[key]
+    return _memo(g, ("k2p_free", p), lambda: _k2p_free(g.rows, p))
 
 
 def _cached_degree_bounds(g: Graph) -> tuple[int, int]:
-    if "deg_bounds" not in g._cache:
+    def bounds():
         degs = [r.bit_count() for r in g.rows]
-        g._cache["deg_bounds"] = (min(degs), max(degs)) if degs else (0, 0)
-    return g._cache["deg_bounds"]
+        return (min(degs), max(degs)) if degs else (0, 0)
+
+    return _memo(g, "deg_bounds", bounds)
 
 
 def is_threshold(g: Graph) -> bool:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import funbox as fb
+from funbox import geometry
 from funbox.campaigns import (
     CAMPAIGN_NAMES,
     CAMPAIGNS,
@@ -15,6 +16,7 @@ from funbox.campaigns import (
 )
 from funbox.cli import build_parser, main
 from funbox.constructions import GEN_EDGE_COUNTS
+from test_geometry import flip_first_pair
 
 
 def run_cli(capsys, *argv):
@@ -315,6 +317,26 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, make_arg
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("campaign", ["lemma-sd", "thm-fun8"])
+def test_interval_campaign_edge_cap_names_the_interval_model(capsys, campaign):
+    code = main(["verify", campaign, "--sizes", "5,1449", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: interval model with n=1449, k=0 has 1049076 edges")
+
+
+def test_realize_failing_its_self_check_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    gpath = tmp_path / "abc.json"
+    main(["gen", "abc", "--n", "4", "--seed", "3", "-o", str(gpath)])
+    build = geometry.graph_from_intervals
+    monkeypatch.setattr(geometry, "graph_from_intervals", lambda r: flip_first_pair(build(r)))
+    code = main(["realize", "abc-intervals", "-i", str(gpath)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: interval model does not reproduce its target graph\n"
 
 
 # One entry more than a file may hold (graphs.MAX_VERTICES). Each entry is

@@ -1,8 +1,10 @@
 import pytest
 
 import funbox as fb
+from funbox import geometry
 from funbox.campaigns import random_interval_rep, random_permutation
 from funbox.geometry import (
+    RealizationError,
     box_system_from_json,
     box_system_to_json,
     incidence_graph,
@@ -219,3 +221,39 @@ def test_abc_realize_rejects_non_abc_input():
     g = fb.from_edge_list(3, [(0, 1)])
     with pytest.raises(GraphError):
         fb.realize_abc_unit_squares(g, [0], [1], [2])
+
+
+# ---------------------------------------------------------------- the self-check gate
+
+def flip_first_pair(g):
+    """``g`` with the adjacency of vertices 0 and 1 flipped, all else kept."""
+    rows = list(g.rows)
+    rows[0] ^= 0b10
+    rows[1] ^= 0b01
+    return fb.Graph(g.n, rows, g.labels)
+
+
+def _abc_args():
+    g, meta = fb.abc_graph(3, (2, 3, 1))
+    return g, meta.parts["A"], meta.parts["B"], meta.parts["C"]
+
+
+# (builder each realizer rebuilds its graph with, realizer, its arguments)
+_GATED = [
+    ("incidence_graph", fb.realize_pointbox_plane, lambda: (2, 2)),
+    ("graph_from_boxes", fb.embed_pointbox_r3, lambda: fb.realize_pointbox_plane(2, 2)[:2]),
+    ("graph_from_boxes", fb.realize_abc_unit_squares, _abc_args),
+    ("graph_from_intervals", fb.realize_abc_intervals, _abc_args),
+]
+
+
+@pytest.mark.parametrize(
+    "builder, realize, make_args", _GATED, ids=[r.__name__ for _, r, _ in _GATED]
+)
+def test_realization_with_one_edge_flipped_raises(monkeypatch, builder, realize, make_args):
+    args = make_args()
+    realize(*args)  # the unpatched realization passes its self-check
+    build = getattr(geometry, builder)
+    monkeypatch.setattr(geometry, builder, lambda *a: flip_first_pair(build(*a)))
+    with pytest.raises(RealizationError, match="does not reproduce"):
+        realize(*args)
