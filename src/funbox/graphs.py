@@ -4,8 +4,8 @@ Vertices are dense 0-based ids. Each adjacency row is a Python int used as a
 bit vector: bit ``v`` of ``rows[u]`` is 1 iff ``u`` and ``v`` are adjacent.
 All algorithms in the package work on these rows with bitwise kernels, and
 one transpose, ``_columns``, serves every kernel that needs a matrix's
-columns: ``Graph`` validation, the hitting-set system and the point-box
-builders.
+columns: ``Graph`` validation, ``induced_subgraph``, the hitting-set system
+and the point-box builders.
 
 Every file reader checks its JSON with the shape helpers defined here:
 ``_json_object``, ``_json_list``, ``_json_pairs``, ``_json_int`` and
@@ -196,23 +196,20 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]], labels=None) -> Gra
 def induced_subgraph(g: Graph, subset: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on ``subset`` plus the old-id -> new-id map.
 
-    New ids preserve the relative order of the old ids.
+    New ids preserve the relative order of the old ids. The kept rows, masked
+    to the kept ids, have the new rows as their kept columns: by symmetry,
+    bit i of column ``o`` is set iff the i-th kept vertex is adjacent to ``o``.
     """
     old_ids = sorted(set(subset))
     if not old_ids:
         raise GraphError("induced subgraph requires a nonempty vertex set")
     kept = mask_of(old_ids, g.n)
+    cols = _columns([g.rows[o] & kept for o in old_ids], g.n)
     mapping = {old: new for new, old in enumerate(old_ids)}
-    rows = []
-    for old in old_ids:
-        row = 0
-        for other in bit_ids(g.rows[old] & kept):
-            row |= 1 << mapping[other]
-        rows.append(row)
     labels = None
     if g.labels:
         labels = {mapping[o]: g.labels[o] for o in old_ids if o in g.labels}
-    return Graph(len(old_ids), rows, labels), mapping
+    return Graph(len(old_ids), [cols[o] for o in old_ids], labels), mapping
 
 
 def equal_labeled(g1: Graph, g2: Graph) -> bool:

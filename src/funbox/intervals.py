@@ -138,9 +138,7 @@ def graph_from_intervals(rep: IntervalRep) -> Graph:
 
 def graph_from_points(rep: PointRep) -> Graph:
     """Intersection graph of the rank intervals [i, j]."""
-    return graph_from_intervals(
-        IntervalRep(intervals=rep.points, scale_denominator=1)
-    )
+    return _intersection_graph([(p,) for p in rep.points])
 
 
 def normalize(rep: IntervalRep) -> PointRep:

@@ -3,8 +3,8 @@
 The ``naive_*`` functions work from the definitions with plain loops and
 subset enumeration, independent of the bit-row kernels under test. The
 ``sweep_*``, ``seen_*``, ``listbb_*``, ``restricted_*``, ``hitterlist_*``,
-``nogood_*``, ``pairloop_*``, ``edgelist_*``, ``profileloop_*`` and
-``scan_*`` functions are the kernels that the package used before: full 2^n
+``nogood_*``, ``pairloop_*``, ``walk_*``, ``edgelist_*``, ``profileloop_*``
+and ``scan_*`` functions are the kernels that the package used before: full 2^n
 subset sweeps, a branch search over subsets that dedups its masks through a
 set of every mask pushed, a list-based hitting-set branch and bound, a
 transposed hitting-set kernel that rebuilds its candidate list restricted to
@@ -13,7 +13,8 @@ per-requirement hitter lists that keeps no record of its failures, the same
 search recording its failures in a nogood table, an m x m pair loop checking
 half-graph orders, a pair loop checking the sd lemma with one ``sd_pair``
 and ``manhattan`` call per pair, an n x n pair loop testing
-K_{2,p}-freeness, a kept x kept pair loop building induced subgraphs, the
+K_{2,p}-freeness, a kept x kept pair loop building induced subgraphs and
+a walk over the set bits of each kept row re-indexing them one by one, the
 half graph, the ABC graph, g_k, its ABC extension and the point-box
 incidence family built from their edge lists, witness checks that compute
 each vertex's profile with a loop over the arguments, and
@@ -1124,6 +1125,27 @@ def pairloop_induced_subgraph(g: Graph, subset: Iterable[int]) -> tuple[Graph, d
         for other, new in mapping.items():
             if src >> other & 1:
                 row |= 1 << new
+        rows.append(row)
+    labels = None
+    if g.labels:
+        labels = {mapping[o]: g.labels[o] for o in old_ids if o in g.labels}
+    return Graph(len(old_ids), rows, labels), mapping
+
+
+def walk_induced_subgraph(g: Graph, subset: Iterable[int]) -> tuple[Graph, dict[int, int]]:
+    """Induced subgraph on ``subset`` plus the old-id -> new-id map, each new
+    row built by walking the set bits of the kept row masked to the kept ids.
+    """
+    old_ids = sorted(set(subset))
+    if not old_ids:
+        raise GraphError("induced subgraph requires a nonempty vertex set")
+    kept = mask_of(old_ids, g.n)
+    mapping = {old: new for new, old in enumerate(old_ids)}
+    rows = []
+    for old in old_ids:
+        row = 0
+        for other in bit_ids(g.rows[old] & kept):
+            row |= 1 << mapping[other]
         rows.append(row)
     labels = None
     if g.labels:

@@ -138,8 +138,11 @@ def test_extend_gk_k2():
         big, bmeta.parts["A"], bmeta.parts["B"], bmeta.parts["C"]
     )
     assert rep.n == 16
-    sub, _ = fb.induced_subgraph(big, sorted(embed.values()))
-    assert fb.equal_labeled(sub, g)
+    for k in range(2, 6):  # k = 5 re-induces 875 of 1,875 vertices
+        g, meta = fb.g_k(k)
+        big, _, embed = fb.extend_gk_to_abc(g, meta)
+        sub, _ = fb.induced_subgraph(big, sorted(embed.values()))
+        assert fb.equal_labeled(sub, g)
 
 
 def test_extend_gk_c_side_interleaving():

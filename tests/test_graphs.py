@@ -1,12 +1,15 @@
+from unittest.mock import patch
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import funbox as fb
+from funbox import graphs
 from funbox.campaigns import random_graph
-from funbox.graphs import GraphError, bit_ids
+from funbox.graphs import GraphError, _columns, _dense, bit_ids, mask_of
 from funbox.rng import SplitMix64
-from oracles import pairloop_induced_subgraph
+from oracles import pairloop_induced_subgraph, walk_induced_subgraph
 
 
 def path(n):
@@ -65,21 +68,75 @@ def test_induced_subgraph_c5_minus_vertex_is_p4():
 
 
 def _same_induced(g, subset):
-    h, mapping = fb.induced_subgraph(g, subset)
-    want, want_mapping = pairloop_induced_subgraph(g, subset)
-    assert (h.rows, h.labels, mapping) == (want.rows, want.labels, want_mapping)
-    assert list(mapping) == list(want_mapping)
+    """Check ``induced_subgraph`` against both oracles; return whether its
+    transpose (the first ``_columns`` call it makes) took the dense path."""
+    transposed = []
+
+    def columns(rows, width):
+        transposed.append(rows)
+        return _columns(rows, width)
+
+    with patch.object(graphs, "_columns", columns):
+        h, mapping = fb.induced_subgraph(g, subset)
+    rows = transposed[0]
+    kept = mask_of(subset, g.n)
+    assert not any(row & ~kept for row in rows)  # the transpose sees kept columns only
+    for oracle in (walk_induced_subgraph, pairloop_induced_subgraph):
+        want, want_mapping = oracle(g, subset)
+        assert (h.rows, h.labels, mapping) == (want.rows, want.labels, want_mapping)
+        assert list(h.labels or ()) == list(want.labels or ())
+        assert list(mapping) == list(want_mapping)
+    return _dense(rows, g.n)
 
 
-def test_induced_subgraph_matches_pair_loop_on_seeded_graphs():
+@pytest.mark.parametrize("text_max_n", [graphs._TEXT_MAX_N, 1, 7])
+def test_induced_subgraph_matches_pair_loop_on_seeded_graphs(text_max_n):
+    """300 seeded graphs, n <= 40, with ``_TEXT_MAX_N`` patched small so that
+    dense subsets cross several text bands; both transpose paths run."""
     rng = SplitMix64(370)
-    for i in range(300):
-        n = 1 + rng.below(40)
-        g = random_graph(n, 1 + rng.below(3), 4, rng.next_u64())
-        if i % 2:
-            g = fb.Graph(n, g.rows, {v: f"v{v}" for v in range(0, n, 3)})
-        keep = rng.below(1 << n) | 1 << rng.below(n)
-        _same_induced(g, list(bit_ids(keep))[::-1])
+    seen = set()
+    with patch.object(graphs, "_TEXT_MAX_N", text_max_n):
+        for i in range(300):
+            n = 1 + rng.below(40)
+            g = random_graph(n, 1 + rng.below(3), 4, rng.next_u64())
+            if i % 2:
+                g = fb.Graph(n, g.rows, {v: f"v{v}" for v in range(0, n, 3)})
+            keep = rng.below(1 << n) | 1 << rng.below(n)
+            seen.add(_same_induced(g, list(bit_ids(keep))[::-1]))
+    assert seen == {True, False}
+
+
+@st.composite
+def labelled_graphs_with_subsets(draw):
+    """A graph on 1..40 vertices of edge density about 1/2 to 1/16, some
+    vertices labelled, and a nonempty list of its ids, highest first."""
+    n = draw(st.integers(1, 40))
+    cells = st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+    upper = draw(cells)
+    for _ in range(draw(st.integers(0, 3))):  # each AND halves the density
+        upper = [r & s for r, s in zip(upper, draw(cells))]
+    rows = [0] * n
+    for u, row in enumerate(upper):
+        for v in bit_ids(row >> (u + 1)):
+            rows[u] |= 1 << (u + 1 + v)
+            rows[u + 1 + v] |= 1 << u
+    labels = draw(st.dictionaries(st.integers(0, n - 1), st.text(max_size=3)))
+    keep = draw(st.integers(0, (1 << n) - 1)) | 1 << draw(st.integers(0, n - 1))
+    return fb.Graph(n, rows, labels), list(bit_ids(keep))[::-1]
+
+
+@pytest.mark.parametrize("text_max_n", [graphs._TEXT_MAX_N, 1, 7])
+@given(labelled_graphs_with_subsets())
+@settings(max_examples=150, deadline=None)
+@example(  # K_40 on its odd ids: dense rows
+    (
+        fb.Graph(40, [((1 << 40) - 1) ^ (1 << u) for u in range(40)], {0: "a", 39: "z"}),
+        list(range(39, -1, -2)),
+    )
+)
+def test_induced_subgraph_matches_walk_and_pair_loop(text_max_n, case):
+    with patch.object(graphs, "_TEXT_MAX_N", text_max_n):
+        _same_induced(*case)
 
 
 def test_induced_subgraph_matches_pair_loop_on_h44():
