@@ -89,16 +89,6 @@ def interval_rep_from_json(data: dict) -> IntervalRep:
     )
 
 
-def point_rep_to_json(rep: PointRep) -> dict:
-    return {"points": [list(pt) for pt in rep.points]}
-
-
-def point_rep_from_json(data: dict) -> PointRep:
-    data = _json_object(data, "point JSON", ("points",))
-    points = _json_pairs(data["points"], "point JSON 'points'", "point", capped=True)
-    return PointRep(points=tuple(points))
-
-
 def _overlap_rows(a_boxes, b_boxes) -> list[int]:
     """Row u: bit mask of the closed boxes in ``b_boxes`` that ``a_boxes[u]`` meets.
 
@@ -152,14 +142,10 @@ def normalize(rep: IntervalRep) -> PointRep:
         events.append((lo, 0, idx))
         events.append((hi, 1, idx))
     events.sort()
-    left = {}
-    right = {}
-    for rank, (_, kind, idx) in enumerate(events, start=1):
-        if kind == 0:
-            left[idx] = rank
-        else:
-            right[idx] = rank
-    return PointRep(points=tuple((left[i], right[i]) for i in range(rep.n)))
+    ranks = [[0, 0] for _ in range(rep.n)]
+    for rank, (_, side, idx) in enumerate(events, start=1):
+        ranks[idx][side] = rank
+    return PointRep(points=tuple(map(tuple, ranks)))
 
 
 def manhattan(p: tuple[int, int], q: tuple[int, int]) -> int:
@@ -184,10 +170,11 @@ def check_sd_lemma(rep: PointRep) -> SdLemmaReport:
     pts = rep.points
     n = rep.n
     for u in range(n):
-        ru, bu = rows[u], 1 << u
+        ru = rows[u]
         iu, ju = pts[u]
         for v in range(u + 1, n):
-            d = ((ru ^ rows[v]) & ~(bu | 1 << v)).bit_count()
+            # bits u and v of ru ^ rows[v] are both set iff u ~ v; neither counts
+            d = (ru ^ rows[v]).bit_count() - 2 * (ru >> v & 1)
             iv, jv = pts[v]
             dist = abs(iu - iv) + abs(ju - jv)
             if d > dist - 2:

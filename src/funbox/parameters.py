@@ -97,7 +97,8 @@ class Witness:
         return self.table >> profile & 1
 
     def table_bits(self) -> str:
-        return "".join(str(self.table >> m & 1) for m in range(1 << self.arity))
+        size = 1 << self.arity
+        return format(self.table & ((1 << size) - 1), f"0{size}b")[::-1]
 
 
 def witness_to_json(w: Witness) -> dict:
@@ -120,13 +121,9 @@ def witness_from_json(data: dict) -> Witness:
         raise GraphError("witness JSON 'table_bits' and 'origin' must be strings")
     if len(bits) != 1 << len(args):
         raise GraphError("table_bits length must be 2^len(args)")
-    table = 0
-    for m, ch in enumerate(bits):
-        if ch == "1":
-            table |= 1 << m
-        elif ch != "0":
-            raise GraphError("table_bits must be a 0/1 string")
-    return Witness(target, args, table, origin)
+    if bits.strip("01"):
+        raise GraphError("table_bits must be a 0/1 string")
+    return Witness(target, args, int(bits[::-1], 2), origin)
 
 
 def _profile_classes(rows, args, rest: int) -> list[tuple[int, int]]:
@@ -212,8 +209,8 @@ def sd_pair(g: Graph, x: int, y: int) -> int:
     _check_vertex(g, y, "y")
     if x == y:
         raise GraphError("sd_pair requires two distinct vertices")
-    diff = (g.rows[x] ^ g.rows[y]) & ~(1 << x) & ~(1 << y)
-    return diff.bit_count()
+    # bits x and y of the XOR are both set iff x ~ y; neither counts
+    return (g.rows[x] ^ g.rows[y]).bit_count() - 2 * g.has_edge(x, y)
 
 
 def _min_pair_sd(rows, mask: int, enough: int = 0) -> tuple[int, int, int]:
@@ -687,15 +684,14 @@ def structure_scan(g: Graph, p: int) -> StructureReport:
         raise GraphError("K_{2,p} scan requires p >= 2")
     twins = []
     anti = []
-    full = g.full_mask
+    rows = g.rows
     for u in range(g.n):
+        ru = rows[u]
         for v in range(u + 1, g.n):
-            keep = full & ~(1 << u) & ~(1 << v)
-            ru = g.rows[u] & keep
-            rv = g.rows[v] & keep
-            if ru == rv:
+            d = (ru ^ rows[v]).bit_count() - 2 * (ru >> v & 1)
+            if d == 0:
                 twins.append((u, v))
-            if ru ^ rv == keep:
+            if d == g.n - 2:
                 anti.append((u, v))
     return StructureReport(
         twins=tuple(twins),

@@ -3,21 +3,22 @@
 The ``naive_*`` functions work from the definitions with plain loops and
 subset enumeration, independent of the bit-row kernels under test. The
 ``sweep_*``, ``seen_*``, ``listbb_*``, ``restricted_*``, ``hitterlist_*``,
-``nogood_*``, ``pairloop_*``, ``walk_*``, ``edgelist_*``, ``profileloop_*``
-and ``scan_*`` functions are the kernels that the package used before: full 2^n
-subset sweeps, a branch search over subsets that dedups its masks through a
-set of every mask pushed, a list-based hitting-set branch and bound, a
-transposed hitting-set kernel that rebuilds its candidate list restricted to
-the pending requirements at every node, a hitting-set search over cached
-per-requirement hitter lists that keeps no record of its failures, the same
-search recording its failures in a nogood table, an m x m pair loop checking
-half-graph orders, a pair loop checking the sd lemma with one ``sd_pair``
-and ``manhattan`` call per pair, an n x n pair loop testing
-K_{2,p}-freeness, a kept x kept pair loop building induced subgraphs and
-a walk over the set bits of each kept row re-indexing them one by one, the
+``nogood_*``, ``pairloop_*``, ``walk_*``, ``edgelist_*``, ``profileloop_*``,
+``dict_*`` and ``scan_*`` functions are the kernels that the package used
+before: full 2^n subset sweeps, a branch search over subsets that dedups its
+masks through a set of every mask pushed, a list-based hitting-set branch
+and bound, a transposed hitting-set kernel that rebuilds its candidate list
+restricted to the pending requirements at every node, a hitting-set search
+over cached per-requirement hitter lists that keeps no record of its
+failures, the same search recording its failures in a nogood table, an m x m
+pair loop checking half-graph orders, a pair loop checking the sd lemma with
+one ``sd_pair`` and ``manhattan`` call per pair, an n x n pair loop testing
+K_{2,p}-freeness, a kept x kept pair loop building induced subgraphs and a
+walk over the set bits of each kept row re-indexing them one by one, the
 half graph, the ABC graph, g_k, its ABC extension and the point-box
 incidence family built from their edge lists, witness checks that compute
-each vertex's profile with a loop over the arguments, and
+each vertex's profile with a loop over the arguments, ``normalize``
+collecting the left and right ranks in two dicts, and
 ``find_low_fun_witness`` finding its case-2 block with nested scans.
 """
 
@@ -30,7 +31,7 @@ from typing import Iterable
 
 from funbox import ConstructionLabels, Graph, GraphError, from_edge_list, intervals
 from funbox.graphs import MAX_VERTICES as HNI_MAX_VERTICES, SizeLimitError, bit_ids, mask_of
-from funbox.intervals import SdLemmaReport, manhattan
+from funbox.intervals import PointRep, SdLemmaReport, manhattan
 from funbox.parameters import (
     Witness,
     _check_vertex,
@@ -598,6 +599,23 @@ def pairloop_check_sd_lemma(rep) -> SdLemmaReport:
             if d > dist - 2:
                 return SdLemmaReport(checked, (u, v, d, dist))
     return SdLemmaReport(checked, None)
+
+
+def dict_normalize(rep) -> PointRep:
+    """Endpoint ranks 1..2n, ties left-endpoint-first, then by interval id."""
+    events = []
+    for idx, (lo, hi) in enumerate(rep.intervals):
+        events.append((lo, 0, idx))
+        events.append((hi, 1, idx))
+    events.sort()
+    left = {}
+    right = {}
+    for rank, (_, kind, idx) in enumerate(events, start=1):
+        if kind == 0:
+            left[idx] = rank
+        else:
+            right[idx] = rank
+    return PointRep(points=tuple((left[i], right[i]) for i in range(rep.n)))
 
 
 # ---------------------------------------------------------------------------

@@ -494,6 +494,36 @@ def test_readme_gen_usage_matches_parser():
     assert listed("realize") == _choices("realize", "kind")
 
 
+def test_readme_cli_block_lists_every_choice():
+    """The choices of `gen`, `compute`, `realize` and `verify` are all in the README.
+
+    A positional's choices are checked above: gen, compute and realize
+    against their `funbox COMMAND` lines, verify's campaigns against the
+    "Campaigns:" list. Every option with choices must read `--flag a|b`
+    in the CLI block.
+    """
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    usage = re.search(r"^## CLI\n+```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    positionals = set()
+    for command in ("gen", "compute", "realize", "verify"):
+        for action in commands.choices[command]._actions:
+            if action.choices is None:
+                continue
+            if not action.option_strings:
+                positionals.add((command, action.dest))
+                continue
+            flag = max(action.option_strings, key=len)
+            assert f"{flag} {'|'.join(action.choices)}" in usage, (command, flag)
+    assert positionals == {
+        ("gen", "family"),
+        ("compute", "what"),
+        ("realize", "kind"),
+        ("verify", "campaign"),
+    }
+
+
 # family -> (gen arguments, the generator call they make)
 _GEN_ROUND_TRIPS = {
     "half": (["--n", "4"], lambda: fb.half_graph(4)),

@@ -5,7 +5,7 @@ from funbox.campaigns import random_interval_rep
 from funbox.graphs import GraphError
 from funbox.intervals import manhattan
 from funbox.rng import SplitMix64
-from oracles import scan_find_low_fun_witness
+from oracles import dict_normalize, pairloop_check_sd_lemma, scan_find_low_fun_witness
 
 
 def test_graph_from_intervals_touching_intersect():
@@ -61,6 +61,21 @@ def test_normalize_round_trip_500_random_reps():
         assert fb.equal_labeled(
             fb.graph_from_points(pts), fb.graph_from_intervals(rep)
         )
+
+
+def test_normalize_matches_dict_ranks_on_500_seeded_reps():
+    """Points equal the two-dict rewrite's, and the sd lemma the pair loop's.
+
+    A coordinate range of at most 40 makes shared endpoints common, so the
+    tie order (left endpoint first, then interval id) decides most ranks.
+    """
+    rng = SplitMix64(1717)
+    for _ in range(500):
+        n = 1 + rng.below(50)
+        rep = random_interval_rep(n, rng.next_u64(), 2 + rng.below(39))
+        pts = fb.normalize(rep)
+        assert pts.points == dict_normalize(rep).points
+        assert fb.check_sd_lemma(pts) == pairloop_check_sd_lemma(pts)
 
 
 def test_check_sd_lemma_two_vertices():
@@ -152,18 +167,11 @@ def test_interval_graphs_have_fun_graph_at_most_8():
         assert fb.fun_graph(g) <= 8
 
 
-def test_point_rep_json_round_trip():
-    from funbox.intervals import (
-        interval_rep_from_json,
-        interval_rep_to_json,
-        point_rep_from_json,
-        point_rep_to_json,
-    )
+def test_interval_rep_json_round_trip():
+    from funbox.intervals import interval_rep_from_json, interval_rep_to_json
 
     rep = fb.IntervalRep(intervals=((1, 5), (2, 3)), scale_denominator=2)
     assert interval_rep_from_json(interval_rep_to_json(rep)) == rep
-    pts = fb.normalize(rep)
-    assert point_rep_from_json(point_rep_to_json(pts)) == pts
 
 
 @pytest.mark.parametrize(
@@ -171,25 +179,34 @@ def test_point_rep_json_round_trip():
     [
         [[1, 2]],
         {},
-        {"points": 3},
-        {"points": [[1]]},
-        {"points": [7]},
-        {"points": [[1, "2"]]},
-        {"points": [[False, 2]]},
+        {"intervals": 3},
+        {"intervals": [[1]]},
+        {"intervals": [7]},
+        {"intervals": [[1, "2"]]},
+        {"intervals": [[False, 2]]},
+    ],
+    ids=[
+        "top-level-list",
+        "missing-intervals",
+        "intervals-not-list",
+        "one-element-pair",
+        "bare-int",
+        "string-coordinate",
+        "bool-coordinate",
     ],
 )
-def test_point_rep_json_shape_is_checked(payload):
-    from funbox.intervals import point_rep_from_json
+def test_interval_rep_json_shape_is_checked(payload):
+    from funbox.intervals import interval_rep_from_json
 
     with pytest.raises(GraphError):
-        point_rep_from_json(payload)
+        interval_rep_from_json(payload)
 
 
-def test_point_rep_json_over_the_file_cap_is_a_size_limit_error():
+def test_interval_rep_json_over_the_file_cap_is_a_size_limit_error():
     from funbox.graphs import MAX_VERTICES, SizeLimitError
-    from funbox.intervals import point_rep_from_json
+    from funbox.intervals import interval_rep_from_json
 
     # malformed entries: a reader without the cap fails on the first one instead
-    payload = {"points": [[1]] * (MAX_VERTICES + 1)}
+    payload = {"intervals": [[1]] * (MAX_VERTICES + 1)}
     with pytest.raises(SizeLimitError, match="more than the limit"):
-        point_rep_from_json(payload)
+        interval_rep_from_json(payload)

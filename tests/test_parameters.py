@@ -6,11 +6,13 @@ import funbox as fb
 from funbox.campaigns import random_graph
 from funbox.graphs import GraphError, SizeLimitError
 from funbox.parameters import _arg_system
+from funbox.rng import SplitMix64
 
 from oracles import (
     naive_fun_vertex,
     naive_is_function_of,
     naive_is_threshold,
+    naive_sd_pair,
     restricted_conflict_requirements,
 )
 
@@ -269,6 +271,24 @@ def test_witness_json_round_trip():
     assert witness_from_json(data) == w
 
 
+@pytest.mark.parametrize("k", range(11))
+def test_table_bits_match_per_bit_definition(k):
+    from funbox.parameters import witness_from_json, witness_to_json
+
+    rng = SplitMix64(900 + k)
+    size = 1 << k
+    # random tables run to about 2 * size bits, so most have bits above the table
+    randoms = [sum(rng.next_u64() << 64 * i for i in range(size // 32 + 1)) for _ in range(5)]
+    tables = [0, (1 << size) - 1, -1, -(1 << size) - 5, *randoms, -randoms[0]]
+    for table in tables:
+        w = fb.Witness(0, tuple(range(1, k + 1)), table, "test")
+        bits = w.table_bits()
+        assert bits == "".join(str(table >> m & 1) for m in range(size))
+        back = witness_from_json(witness_to_json(w)).table
+        assert back == sum(1 << m for m, ch in enumerate(bits) if ch == "1")
+        assert back == table & ((1 << size) - 1)
+
+
 @pytest.mark.parametrize("target", [9, -1])
 def test_witness_is_valid_rejects_out_of_range_target(target):
     w = fb.Witness(target, (0, 1), 0, "test")
@@ -291,6 +311,8 @@ def test_witness_is_valid_rejects_out_of_range_target(target):
         {"target": 0, "args": [1], "table_bits": "01"},
         {"target": 0, "args": [1], "table_bits": "0", "origin": "x"},
         {"target": 0, "args": [1], "table_bits": "0a", "origin": "x"},
+        {"target": 0, "args": [1], "table_bits": "0 ", "origin": "x"},
+        {"target": 0, "args": [1, 2], "table_bits": "0_11", "origin": "x"},
     ],
     ids=[
         "top-level-list",
@@ -305,6 +327,8 @@ def test_witness_is_valid_rejects_out_of_range_target(target):
         "missing-origin",
         "table-bits-too-short",
         "table-bits-not-binary",
+        "table-bits-space",
+        "table-bits-underscore",
     ],
 )
 def test_witness_from_json_rejects_bad_shapes(data):
@@ -339,6 +363,25 @@ def test_structure_scan_anti_twins():
         assert fb.sd_pair(C4, x, y) == C4.n - 2
     for x, y in rep.twins:
         assert fb.sd_pair(C4, x, y) == 0
+
+
+def test_sd_pair_and_structure_scan_match_naive_sd_on_seeded_graphs():
+    rng = SplitMix64(1313)
+    seen_twins = seen_anti = 0
+    for _ in range(300):
+        n = 2 + rng.below(12)  # 2..13
+        g = random_graph(n, rng.below(5), 4, rng.next_u64())
+        sd = {
+            (x, y): naive_sd_pair(g, x, y) for x, y in itertools.combinations(range(n), 2)
+        }
+        for (x, y), d in sd.items():
+            assert fb.sd_pair(g, x, y) == d == fb.sd_pair(g, y, x)
+        rep = fb.structure_scan(g, 2)
+        assert rep.twins == tuple(pair for pair, d in sd.items() if d == 0)
+        assert rep.anti_twins == tuple(pair for pair, d in sd.items() if d == n - 2)
+        seen_twins += bool(rep.twins)
+        seen_anti += bool(rep.anti_twins) and n > 2
+    assert seen_twins > 50 and seen_anti > 10
 
 
 def test_structure_scan_rejects_small_p():
