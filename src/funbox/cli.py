@@ -10,6 +10,8 @@ FUNBOX_MAX_N environment variable overrides the exact-search size guards.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 
@@ -57,7 +59,6 @@ from .intervals import (
     normalize,
 )
 from .parameters import (
-    PremiseViolation,
     fun_graph,
     fun_vertex,
     sd_graph,
@@ -66,16 +67,16 @@ from .parameters import (
 )
 
 
-def _emit_text(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _emit_json(data: dict, path: str | None) -> None:
-    _emit_text(json.dumps(data, indent=2, sort_keys=True), path)
+def _write(out, path: str | None) -> None:
+    """Write ``out`` and a newline to file ``path``, or to stdout without one: a
+    string as it is, anything else as indented, key-sorted JSON, streamed in
+    batches of encoder chunks so that the document is never one string."""
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    chunks = iter((out,)) if isinstance(out, str) else encoder.iterencode(out)
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        while batch := "".join(itertools.islice(chunks, 1 << 14)):
+            fh.write(batch)
+        fh.write("\n")
 
 
 def _load_json(path: str | None):
@@ -108,7 +109,7 @@ def _cmd_gen(args) -> int:
         g, _ = point_box_incidence(args.n, args.i)
     elif args.family == "hypercube":
         g, _ = hypercube(args.n)
-    _emit_json(graph_to_json(g), args.output)
+    _write(graph_to_json(g), args.output)
     return 0
 
 
@@ -118,22 +119,22 @@ def _cmd_compute(args) -> int:
         if args.vertex is None:
             raise GraphError("fun-vertex needs --vertex")
         k, w = fun_vertex(g, args.vertex)
-        _emit_json({"vertex": args.vertex, "fun": k, "witness": witness_to_json(w)}, args.output)
+        _write({"vertex": args.vertex, "fun": k, "witness": witness_to_json(w)}, args.output)
     elif args.what == "fun-graph":
-        _emit_json({"fun_graph": fun_graph(g, args.max_n)}, args.output)
+        _write({"fun_graph": fun_graph(g, args.max_n)}, args.output)
     elif args.what == "sd-pair":
         if args.x is None or args.y is None:
             raise GraphError("sd-pair needs --x and --y")
-        _emit_json({"x": args.x, "y": args.y, "sd": sd_pair(g, args.x, args.y)}, args.output)
+        _write({"x": args.x, "y": args.y, "sd": sd_pair(g, args.x, args.y)}, args.output)
     elif args.what == "sd-graph":
-        _emit_json({"sd_graph": sd_graph(g, args.max_n)}, args.output)
+        _write({"sd_graph": sd_graph(g, args.max_n)}, args.output)
     return 0
 
 
 def _cmd_witness(args) -> int:
     rep = interval_rep_from_json(_load_json(args.input))
     w = find_low_fun_witness(normalize(rep))
-    _emit_json(witness_to_json(w), args.output)
+    _write(witness_to_json(w), args.output)
     return 0
 
 
@@ -153,7 +154,7 @@ def _cmd_realize(args) -> int:
             data = box_system_to_json(realize_abc_unit_squares(g, a, b, c)[0])
         else:
             data = interval_rep_to_json(realize_abc_intervals(g, a, b, c)[0])
-    _emit_json(data, args.output)
+    _write(data, args.output)
     return 0
 
 
@@ -171,10 +172,7 @@ def _cmd_verify(args) -> int:
     )
     report = verify_campaign(args.campaign, cfg, workers=args.workers)
     data = report.to_json()
-    if cfg.format == "markdown":
-        _emit_text(render_markdown(data), cfg.output)
-    else:
-        _emit_json(data, cfg.output)
+    _write(render_markdown(data) if cfg.format == "markdown" else data, cfg.output)
     print(
         f"{report.campaign}: {report.passed}/{len(report.instances)} instances passed",
         file=sys.stderr,
@@ -184,10 +182,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     data = report_from_json(_load_json(args.input))
-    if args.format == "md":
-        _emit_text(render_markdown(data), args.output)
-    else:
-        _emit_json(data, args.output)
+    _write(render_markdown(data) if args.format == "md" else data, args.output)
     return 0
 
 
@@ -268,7 +263,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (PremiseViolation, RealizationError) as exc:
+    except RealizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (

@@ -30,6 +30,13 @@ def test_splitmix64_known_stream():
     ]
 
 
+def test_splitmix64_rejects_empty_ranges():
+    with pytest.raises(ValueError, match="bound must be positive"):
+        SplitMix64(0).below(0)
+    with pytest.raises(ValueError, match="empty range"):
+        SplitMix64(0).randint(2, 1)
+
+
 def test_random_interval_rep_deterministic():
     a = fb.random_interval_rep(5, 42, 100)
     b = fb.random_interval_rep(5, 42, 100)
@@ -55,6 +62,11 @@ def test_random_graph_extremes():
 def test_random_graph_validates_probability():
     with pytest.raises(ConfigError):
         fb.random_graph(5, 3, 2, 1)
+
+
+def test_random_graph_needs_a_vertex():
+    with pytest.raises(ConfigError, match="n >= 1"):
+        fb.random_graph(0, 1, 2, 1)
 
 
 def test_config_json_round_trip():

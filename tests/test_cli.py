@@ -1,6 +1,10 @@
 import argparse
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +17,8 @@ from funbox.campaigns import (
     CampaignConfig,
     ConfigError,
     random_permutation,
+    render_markdown,
+    verify_campaign,
 )
 from funbox.cli import build_parser, main
 from funbox.constructions import GEN_EDGE_COUNTS
@@ -115,6 +121,18 @@ def test_verify_exit_codes_and_report(tmp_path, capsys):
     )
     assert code == 0
     assert "# Campaign `gk-sd`" in mdpath.read_text()
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+def test_verify_markdown_is_the_rendered_report(tmp_path, capsys, to_file):
+    path = str(tmp_path / "report.md") if to_file else None
+    argv = ["verify", "gk-sd", "--sizes", "2", "--format", "markdown"]
+    code, out = run_cli(capsys, *argv, *(["-o", path] if to_file else []))
+    assert code == 0
+    cfg = CampaignConfig.from_json({"sizes": [2], "output": path, "format": "markdown"})
+    expected = render_markdown(verify_campaign("gk-sd", cfg).to_json()) + "\n"
+    assert (Path(path).read_text() if to_file else out) == expected
+    assert out == ("" if to_file else expected)
 
 
 def test_gen_gk_abc_feeds_realize(tmp_path, capsys):
@@ -253,6 +271,9 @@ def _nested_file(tmp_path):
         lambda t: ["compute", "fun-graph", "-i", _q4_file(t), "--max-n", "abc"],
         lambda t: ["verify", "nope"],
         lambda t: ["compute", "fun-vertex"],
+        lambda t: ["compute", "fun-vertex", "-i", _q4_file(t)],
+        lambda t: ["compute", "sd-pair", "-i", _q4_file(t), "--y", "1"],
+        lambda t: ["compute", "sd-pair", "-i", _q4_file(t), "--x", "0"],
         lambda t: ["compute", "fun-graph", "-i", str(t)],
         lambda t: ["gen", "half", "-o", str(t)],
         lambda t: ["verify", "lemma-sd", "--workers", "0"],
@@ -291,6 +312,9 @@ def _nested_file(tmp_path):
         "max-n-not-an-integer",
         "unknown-campaign",
         "compute-without-input",
+        "fun-vertex-without-vertex",
+        "sd-pair-without-x",
+        "sd-pair-without-y",
         "input-is-a-directory",
         "output-is-a-directory",
         "workers-0",
@@ -337,6 +361,28 @@ def test_realize_failing_its_self_check_exits_1_with_one_line(tmp_path, capsys, 
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == "error: interval model does not reproduce its target graph\n"
+
+
+_ABC2 = fb.graph_to_json(fb.abc_graph(2)[0])  # A = {0, 1}, B = {2, 3}, C = {4, 5}
+
+
+@pytest.mark.parametrize("kind", ["abc-units", "abc-intervals"])
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        ({"n": 6, "edges": _ABC2["edges"]}, "no per-vertex part labels"),
+        (fb.graph_to_json(fb.half_graph(2)[0]), "label 'X:1' is not A/B/C"),
+        ({**_ABC2, "edges": _ABC2["edges"][1:]}, r"A is not a clique: \(0,1\) missing"),
+        ({**_ABC2, "edges": _ABC2["edges"] + [[0, 4]]}, r"forbidden A-C edge \(0,4\)"),
+    ],
+    ids=["no-labels", "labels-not-abc", "part-not-a-clique", "a-c-edge"],
+)
+def test_realize_abc_refuses_a_graph_that_is_not_abc(tmp_path, capsys, kind, payload, message):
+    code = main(["realize", kind, "-i", _json_file(tmp_path, "g.json", payload)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert re.search(message, captured.err)
 
 
 # One entry more than a file may hold (graphs.MAX_VERTICES). Each entry is
@@ -550,6 +596,27 @@ def test_gen_file_round_trips_through_graph_from_json(tmp_path, capsys, family):
     assert back.rows == g.rows and back.labels == g.labels
 
 
+# sha256 of each family's `gen` file for the arguments above
+_GEN_SHA256 = {
+    "half": "9ff72a02de18025ce1ab52076dc1514f1107d04ddf05baec796789287bb4694c",
+    "abc": "e3b9f7a44d089b3bbe18a4f501cde7d581fbf56e919c09561706fcb677afff48",
+    "gk": "1be6d431d135a88b588e31be2b95e1be14590bbf25c5d190b2ffbd52abd2b26b",
+    "gk-abc": "b6a3b26947b68405737a8328b571c2b2f45e993d46e0cf65d1195871fb863c84",
+    "hni": "6145322df8cb85d5ddd83804f15a0bba8e82ca7198272870b4b8516f7371bb64",
+    "hypercube": "fbc95501ff0b5d1114160626d6b4fae4754faf12c0a83cfded467482b35b537a",
+}
+
+
+@pytest.mark.parametrize("family", list(_GEN_ROUND_TRIPS))
+def test_gen_bytes_are_pinned_and_stdout_equals_the_file(tmp_path, capsys, family):
+    args, _ = _GEN_ROUND_TRIPS[family]
+    path = tmp_path / "g.json"
+    run_cli(capsys, "gen", family, *args, "-o", str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _GEN_SHA256[family]
+    code, out = run_cli(capsys, "gen", family, *args)
+    assert code == 0 and out == path.read_text()
+
+
 def test_gen_edge_guard_closed_forms_match_built_graphs():
     assert set(GEN_EDGE_COUNTS) < set(_gen_families())
     built = [("half", n, 0, fb.half_graph(n)[0]) for n in range(1, 9)]
@@ -607,3 +674,26 @@ def test_minimal_report_renders(tmp_path, capsys, fmt):
     path = _json_file(tmp_path, "r.json", _REPORT)
     code, out = run_cli(capsys, "report", "--in", path, "--format", fmt)
     assert code == 0 and "gk-sd" in out
+
+
+def _run_module(*argv, unbuffered=False):
+    """``python -m funbox.cli ARGV`` on this checkout's sources, through real pipes."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    cmd = [sys.executable, "-m", "funbox.cli", *argv]
+    return subprocess.run(cmd, env=env, capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_process_gen_exits_0_and_pipes_the_in_process_bytes(capsys, unbuffered):
+    proc = _run_module("gen", "hypercube", "--n", "3", unbuffered=unbuffered)
+    _, out = run_cli(capsys, "gen", "hypercube", "--n", "3")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
+
+
+def test_process_bad_input_exits_2_with_one_error_line(tmp_path):
+    proc = _run_module("compute", "fun-graph", "-i", str(tmp_path / "missing.json"))
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1

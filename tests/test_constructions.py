@@ -202,6 +202,16 @@ def test_hni_all_small_parameters():
             assert all(g.degree(v) == i for v in meta.parts["P"])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: fb.half_graph(0), lambda: fb.abc_graph(0), lambda: fb.point_box_incidence(0, 1)],
+    ids=["half", "abc", "hni"],
+)
+def test_generators_reject_n_below_1(build):
+    with pytest.raises(GraphError, match="n >= 1"):
+        build()
+
+
 def test_hni_rejects_bad_level():
     with pytest.raises(GraphError):
         fb.point_box_incidence(3, 4)

@@ -46,6 +46,10 @@ def test_box_system_validation():
         fb.BoxSystem(d=2, scale_denominator=1, boxes=(((0, 1),),))
     with pytest.raises(GraphError):
         fb.BoxSystem(d=1, scale_denominator=1, boxes=(((2, 1),),))
+    with pytest.raises(GraphError, match="dimension must be >= 1"):
+        fb.BoxSystem(d=0, scale_denominator=1, boxes=())
+    with pytest.raises(GraphError, match="scale denominator must be positive"):
+        fb.BoxSystem(d=1, scale_denominator=0, boxes=(((0, 1),),))
 
 
 def test_box_system_json_round_trip():
@@ -137,6 +141,12 @@ def test_embed_slabs_and_columns_disjoint():
     for i in range(len(slabs)):
         for j in range(i + 1, len(slabs)):
             assert disjoint(slabs[i], slabs[j])
+
+
+def test_embed_rejects_a_box_system_not_in_the_plane():
+    bs = fb.BoxSystem(d=1, scale_denominator=1, boxes=(((0, 2),),))
+    with pytest.raises(GraphError, match="2-dimensional"):
+        fb.embed_pointbox_r3([(1, 1)], bs)
 
 
 def test_embed_rejects_duplicate_points():

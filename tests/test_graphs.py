@@ -242,6 +242,15 @@ def test_json_labels_must_be_strings_keyed_by_ids(labels, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "n,rows,message",
+    [(-1, [], "must be nonnegative"), (2, [0], "expected 2 adjacency rows, got 1")],
+)
+def test_graph_rejects_bad_shape(n, rows, message):
+    with pytest.raises(GraphError, match=message):
+        fb.Graph(n, rows)
+
+
 def test_graph_rejects_asymmetric_rows():
     with pytest.raises(GraphError):
         fb.Graph(2, [0b10, 0b00])

@@ -28,6 +28,20 @@ def test_interval_rep_rejects_reversed():
         fb.IntervalRep(intervals=((3, 1),))
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: fb.IntervalRep(intervals=()), "must be nonempty"),
+        (lambda: fb.IntervalRep(intervals=((1, 2),), scale_denominator=0), "must be positive"),
+        (lambda: fb.PointRep(points=()), "must be nonempty"),
+    ],
+    ids=["empty-intervals", "scale-0", "empty-points"],
+)
+def test_reps_reject_empty_input_and_bad_scale(build, message):
+    with pytest.raises(GraphError, match=message):
+        build()
+
+
 def test_point_rep_validates_permutation():
     with pytest.raises(GraphError):
         fb.PointRep(points=((1, 2), (2, 3)))

@@ -262,6 +262,22 @@ def test_pair_witness_arities():
             assert fb.pair_witness(g, x, y, "nondistinguishers").arity == g.n - 1 - d
 
 
+@pytest.mark.parametrize(
+    "g,x,y,mode,error,message",
+    [
+        (P4, 1, 1, "distinguishers", GraphError, "two distinct vertices"),
+        (P4, 0, 1, "both", GraphError, "unknown pair_witness mode: 'both'"),
+        # centre against a leaf: y plus the 25 other leaves
+        (fb.from_edge_list(27, [(0, v) for v in range(1, 27)]), 0, 1, "distinguishers",
+         SizeLimitError, r"2\^26 entries \(limit 2\^24\)"),
+    ],
+    ids=["same-vertex", "unknown-mode", "star-k1-26-over-arity-limit"],
+)
+def test_pair_witness_refusals(g, x, y, mode, error, message):
+    with pytest.raises(error, match=message):
+        fb.pair_witness(g, x, y, mode)
+
+
 def test_witness_json_round_trip():
     w = fb.pair_witness(P4, 0, 1, "distinguishers")
     from funbox.parameters import witness_from_json, witness_to_json
@@ -415,6 +431,12 @@ def test_recover_half_graph_rejects_size_mismatch():
         fb.recover_half_graph_orders(g, [0], [1, 2])
 
 
+def test_recover_half_graph_rejects_overlapping_sides():
+    g = fb.from_edge_list(3, [])
+    with pytest.raises(GraphError, match="must be disjoint"):
+        fb.recover_half_graph_orders(g, [0, 1], [1, 2])
+
+
 def test_check_abc_partition_trivial():
     g, meta = fb.abc_graph(1)
     assert g.edge_count() == 0
@@ -433,6 +455,24 @@ def test_check_abc_partition_rejects_gk_parts():
     g, meta = fb.g_k(2)
     with pytest.raises(GraphError, match="equal-sized"):
         fb.check_abc_partition(g, meta.parts["A"], meta.parts["B"], meta.parts["C"])
+
+
+_ABC2_EDGES = list(fb.abc_graph(2)[0].edges())  # A = {0, 1}, B = {2, 3}, C = {4, 5}
+
+
+@pytest.mark.parametrize(
+    "edges,parts,message",
+    [
+        (_ABC2_EDGES, ([0, 1], [1, 2], [4, 5]), "pairwise disjoint"),
+        (_ABC2_EDGES, ([0], [2], [4]), "cover every vertex"),
+        (_ABC2_EDGES[1:], ([0, 1], [2, 3], [4, 5]), r"A is not a clique: \(0,1\) missing"),
+        (_ABC2_EDGES + [(0, 4)], ([0, 1], [2, 3], [4, 5]), r"forbidden A-C edge \(0,4\)"),
+    ],
+    ids=["overlap", "no-cover", "not-a-clique", "a-c-edge"],
+)
+def test_check_abc_partition_refusals(edges, parts, message):
+    with pytest.raises(GraphError, match=message):
+        fb.check_abc_partition(fb.from_edge_list(6, edges), *parts)
 
 
 # ---------------------------------------------------------------- refute_function
@@ -475,3 +515,18 @@ def test_refute_q4_premise_report_lists_all():
     with pytest.raises(fb.PremiseViolation) as err:
         fb.refute_function(k5, 0, [1], 1, 2)
     assert len(err.value.violations) >= 2
+
+
+@pytest.mark.parametrize(
+    "x,args,k,p,message",
+    [
+        (0, [0], 1, 3, "x may not appear in the argument set"),
+        (0, [1, 2], 1, 3, r"expected \|S\| = 1, got 2"),
+        (0, [1], 1, 1, "p >= 2"),
+    ],
+    ids=["x-in-args", "wrong-size", "p-below-2"],
+)
+def test_refute_rejects_bad_arguments(x, args, k, p, message):
+    q4, _ = fb.hypercube(4)
+    with pytest.raises(GraphError, match=message):
+        fb.refute_function(q4, x, args, k, p)
