@@ -19,7 +19,6 @@ from . import __version__
 from .campaigns import (
     CAMPAIGN_NAMES,
     CampaignConfig,
-    ConfigError,
     random_permutation,
     render_markdown,
     report_from_json,
@@ -90,26 +89,27 @@ def _load_json(path: str | None):
             raise GraphError(f"{path} is nested too deeply to read") from None
 
 
+def _abc_perm(args):
+    """abc's permutation: ``--perm``, else one drawn from ``--seed``, else None."""
+    if args.perm:
+        return tuple(int(x) for x in args.perm.split(","))
+    return None if args.seed is None else random_permutation(args.n, args.seed)
+
+
+# gen family -> the graph it writes, built from the parsed arguments
+_GEN = {
+    "half": lambda args: half_graph(args.n)[0],
+    "abc": lambda args: abc_graph(args.n, _abc_perm(args))[0],
+    "gk": lambda args: g_k(args.k)[0],
+    "gk-abc": lambda args: extend_gk_to_abc(*g_k(args.k))[0],
+    "hni": lambda args: point_box_incidence(args.n, args.i)[0],
+    "hypercube": lambda args: hypercube(args.n)[0],
+}
+
+
 def _cmd_gen(args) -> int:
     check_gen_edges(args.family, args.n, args.k)
-    if args.family == "half":
-        g, _ = half_graph(args.n)
-    elif args.family == "abc":
-        perm = None
-        if args.perm:
-            perm = tuple(int(x) for x in args.perm.split(","))
-        elif args.seed is not None:
-            perm = random_permutation(args.n, args.seed)
-        g, _ = abc_graph(args.n, perm)
-    elif args.family == "gk":
-        g, _ = g_k(args.k)
-    elif args.family == "gk-abc":
-        g, _, _ = extend_gk_to_abc(*g_k(args.k))
-    elif args.family == "hni":
-        g, _ = point_box_incidence(args.n, args.i)
-    elif args.family == "hypercube":
-        g, _ = hypercube(args.n)
-    _write(graph_to_json(g), args.output)
+    _write(graph_to_json(_GEN[args.family](args)), args.output)
     return 0
 
 
@@ -204,13 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a named graph family")
-    gen.add_argument("family", choices=["half", "abc", "gk", "gk-abc", "hni", "hypercube"])
+    gen.add_argument("family", choices=list(_GEN))
     gen.add_argument("--n", type=int, default=3)
     gen.add_argument("--k", type=int, default=2)
     gen.add_argument("--i", type=int, default=1)
     gen.add_argument("--perm", help="comma-separated permutation of 1..n (abc)")
     gen.add_argument("--seed", type=int, help="seed for a random abc permutation")
-    gen.add_argument("-o", "--output")
     gen.set_defaults(func=_cmd_gen)
 
     comp = sub.add_parser("compute", help="exact parameters of a graph file")
@@ -220,13 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--x", type=int)
     comp.add_argument("--y", type=int)
     comp.add_argument("--max-n", type=int, dest="max_n")
-    comp.add_argument("-o", "--output")
     comp.set_defaults(func=_cmd_compute)
 
     wit = sub.add_parser("witness", help="low-arity witness constructions")
     wit.add_argument("kind", choices=["interval"])
     wit.add_argument("-i", "--input", required=True)
-    wit.add_argument("-o", "--output")
     wit.set_defaults(func=_cmd_witness)
 
     real = sub.add_parser("realize", help="validated geometric realizations")
@@ -237,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     real.add_argument("-i", "--input")
     real.add_argument("--n", type=int, default=2)
     real.add_argument("--i", type=int, dest="i", default=1)
-    real.add_argument("-o", "--output")
     real.set_defaults(func=_cmd_realize)
 
     ver = sub.add_parser("verify", help="run a named verification campaign")
@@ -247,15 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--trials", type=int)
     ver.add_argument("--sizes", help="comma-separated size list")
     ver.add_argument("--workers", type=int, default=1)
-    ver.add_argument("--output", "-o")
     ver.add_argument("--format", choices=["json", "markdown"])
     ver.set_defaults(func=_cmd_verify)
 
     rep = sub.add_parser("report", help="render a raw JSON report")
     rep.add_argument("--in", dest="input", required=True)
     rep.add_argument("--format", choices=["json", "md"], default="md")
-    rep.add_argument("-o", "--output")
     rep.set_defaults(func=_cmd_report)
+    for command in sub.choices.values():
+        command.add_argument("-o", "--output")
     return parser
 
 
@@ -266,15 +262,7 @@ def main(argv=None) -> int:
     except RealizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        GraphError,
-        ConfigError,
-        SizeLimitError,
-        OSError,
-        argparse.ArgumentError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (ValueError, SizeLimitError, OSError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

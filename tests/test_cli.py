@@ -8,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import funbox as fb
-from funbox import geometry
+from funbox import cli, geometry
 from funbox.campaigns import (
     CAMPAIGN_NAMES,
     CAMPAIGNS,
@@ -697,3 +699,154 @@ def test_process_bad_input_exits_2_with_one_error_line(tmp_path):
     proc = _run_module("compute", "fun-graph", "-i", str(tmp_path / "missing.json"))
     assert proc.returncode == 2 and proc.stdout == b""
     assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+
+
+@pytest.mark.parametrize("command", ["gen", "compute", "witness", "realize", "verify", "report"])
+def test_process_help_exits_0_and_lists_the_output_option(command):
+    proc = _run_module(command, "--help")
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert b"-o OUTPUT, --output OUTPUT" in proc.stdout
+
+
+def test_process_version_prints_the_package_version():
+    proc = _run_module("--version")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"funbox 0.1.0\n", b"")
+
+
+# ---------------------------------------------------------------------------
+# every file reader, fed JSON trees of any shape through `main`
+# ---------------------------------------------------------------------------
+
+_INT = st.integers(-2, 13)
+_PAIRS = st.lists(st.lists(_INT, min_size=2, max_size=2), max_size=6)
+# the keys every reader looks for, and some it does not
+_KEYS = st.sampled_from(
+    "n edges labels intervals scale_denominator points box_system d boxes seed sizes "
+    "trials limits fun_max_n sd_max_n output format campaign version config ok summary "
+    "passed total instances index inputs outputs pass 0 1 01".split()
+) | st.text(max_size=2)
+# strings are safe relative file names, since `verify` writes its config's "output"
+_TEXT = st.sampled_from(["", "0", "a", "json", "markdown", "md"])
+_TREES = st.recursive(
+    st.none() | st.booleans() | _INT | st.floats(-2, 13) | _TEXT | _PAIRS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_KEYS, kids, max_size=6),
+    max_leaves=24,
+)
+
+
+def _shaped(required, optional=None):
+    """Any tree, or an object holding the given keys, each value drawn from
+    its own strategy three times in four and any tree otherwise."""
+    def either(spec):
+        return st.integers(0, 3).flatmap(lambda i: spec if i else _TREES)
+    return _TREES | st.fixed_dictionaries(
+        {k: either(v) for k, v in required.items()},
+        optional={k: either(v) for k, v in (optional or {}).items()},
+    )
+
+
+_LABELS = st.dictionaries(st.sampled_from(["0", "1", "5", "01", "a"]), _TEXT, max_size=3)
+_GRAPHS = _shaped(
+    {"n": st.integers(0, 13), "edges": _PAIRS}, {"labels": _LABELS}
+) | st.builds(
+    lambda n, seed: fb.graph_to_json(fb.abc_graph(n, random_permutation(n, seed))[0]),
+    st.integers(1, 3),
+    st.integers(0, 9),
+)
+_INTERVALS = _shaped({"intervals": _PAIRS}, {"scale_denominator": _INT})
+_BOX_SYSTEMS = _shaped(
+    {"d": st.integers(0, 3), "scale_denominator": _INT, "boxes": st.lists(_PAIRS, max_size=4)},
+    {"labels": _LABELS},
+)
+_PLANE_MODELS = st.sampled_from([(1, 1), (2, 1), (2, 2)]).map(
+    lambda ni: fb.realize_pointbox_plane(*ni)
+)
+_POINT_BOXES = _PLANE_MODELS.map(
+    lambda pbs: {
+        "points": [list(p) for p in pbs[0]],
+        "box_system": geometry.box_system_to_json(pbs[1]),
+    }
+) | _shaped({"points": _PAIRS, "box_system": _BOX_SYSTEMS})
+_CONFIGS = _shaped(
+    {},
+    {
+        "seed": _INT,
+        "sizes": st.lists(st.integers(-1, 5), max_size=3),
+        "limits": _shaped({}, {"fun_max_n": _INT, "sd_max_n": _INT}),
+        "output": _TEXT,
+        "format": _TEXT,
+    },
+)
+_INSTANCES = _shaped({"index": _INT, "inputs": _TREES, "outputs": _TREES, "pass": st.booleans()})
+_REPORTS = _shaped(
+    {
+        "campaign": _TEXT,
+        "version": _TEXT,
+        "config": _CONFIGS,
+        "ok": st.booleans(),
+        "summary": _shaped({"passed": _INT, "total": _INT}),
+        "instances": st.lists(_INSTANCES, max_size=3),
+    }
+)
+
+_REPORT_FORMATS = st.sampled_from(["md", "json"])
+
+# reader -> (the documents it reads, the argv that reads file `path`, given
+# hypothesis' `data` for its other arguments)
+_READERS = {
+    "compute-sd-pair": (
+        _GRAPHS,
+        lambda path, data: ["compute", "sd-pair", "-i", path, "--x", "0", "--y", "1"],
+    ),
+    "compute-fun-graph": (_GRAPHS, lambda path, data: ["compute", "fun-graph", "-i", path]),
+    "realize-abc-units": (_GRAPHS, lambda path, data: ["realize", "abc-units", "-i", path]),
+    "realize-abc-intervals": (
+        _GRAPHS,
+        lambda path, data: ["realize", "abc-intervals", "-i", path],
+    ),
+    "witness-interval": (_INTERVALS, lambda path, data: ["witness", "interval", "-i", path]),
+    "realize-pointbox-r3": (
+        _POINT_BOXES,
+        lambda path, data: ["realize", "pointbox-r3", "-i", path],
+    ),
+    # --trials overrides the file's own trials, so that with sizes up to 13
+    # every plan stays small
+    "verify-config": (
+        _CONFIGS,
+        lambda path, data: [
+            "verify", data.draw(st.sampled_from(CAMPAIGN_NAMES)), "--config", path,
+            "--trials", str(data.draw(st.integers(1, 2))), "--workers", "1",
+        ],
+    ),
+    "report-in": (
+        _REPORTS,
+        lambda path, data: ["report", "--in", path, "--format", data.draw(_REPORT_FORMATS)],
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", list(_READERS))
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_any_json_through_every_reader_exits_0_1_or_2(
+    tmp_path, capsys, monkeypatch, reader, data
+):
+    documents, make_argv = _READERS[reader]
+    monkeypatch.chdir(tmp_path)  # where a config's relative "output" goes
+    path = _json_file(tmp_path, "in.json", data.draw(documents))
+    code = main(make_argv(path, data))
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_an_internal_key_error_is_not_reported_as_bad_input(monkeypatch):
+    monkeypatch.setitem(cli._GEN, "half", lambda args: {}["rows"])
+    with pytest.raises(KeyError):
+        main(["gen", "half"])
