@@ -26,6 +26,7 @@ from .parameters import (  # noqa: F401
     fun_graph,
     fun_vertex,
     fun_vertex_naive,
+    fun_vertices,
     is_function_of,
     is_threshold,
     pair_witness,

@@ -53,8 +53,8 @@ from .parameters import (
     _cached_triangle_free,
     _min_pair_sd,
     fun_graph,
-    fun_vertex,
     fun_vertex_naive,
+    fun_vertices,
     is_function_of,
     is_threshold,
     refute_function,
@@ -79,6 +79,8 @@ class CampaignConfig:
     def __post_init__(self):
         if self.trials is not None and self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.sizes is not None and not self.sizes:
+            raise ConfigError("sizes must not be empty; omit it for the defaults")
         if self.format not in ("json", "markdown"):
             raise ConfigError(f"unknown report format {self.format!r}")
 
@@ -341,10 +343,8 @@ def _instance_fun_sd_bound(params: dict) -> tuple[dict, bool]:
     n = g.n
     rng = SplitMix64(params["seed"] ^ 0xDEADBEEF)
     checks = {"deg_bounds": True, "sd_bound": True, "twins": True, "anti_twins": True}
-    funs = {}
-    for y in range(n):
-        k, w = fun_vertex(g, y)
-        funs[y] = k
+    funs = [k for k, _ in fun_vertices(g, max_n=n)]
+    for y, k in enumerate(funs):
         if k > g.degree(y) or k > n - 1 - g.degree(y):
             checks["deg_bounds"] = False
     for x in range(n):

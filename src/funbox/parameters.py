@@ -29,13 +29,20 @@ The per-vertex minimum is solved as a minimum hitting set over conflict
 pairs: for every pair (z, z') with different adjacency to y, the argument
 set must contain z, z', or a vertex distinguishing them. The kernel works
 on the transposed instance, one requirement-index mask per vertex (the
-columns of the requirement rows, from ``graphs._columns``), and keeps no
-state between calls: ``_hit`` branches on the untried vertices of the
-lowest pending requirement in id order, and a vertex that fails is
-excluded through a ``tried`` mask, so a failure holds whatever search
-asked. The k-search, the least-lexicographic reconstruction and the
-witness search of ``fun_graph`` pass their exclusions as ``tried``. Budgets
-1 and 2, where most nodes sit, have fast paths (see ``_hit``).
+columns of the requirement rows, from ``graphs._columns``). Two builders
+make it. ``_arg_system`` builds one target's requirements inside a subset,
+as ``fun_vertex`` and the ``fun_graph`` steps need. ``_pair_system`` builds
+one system for every target of a graph: pair (z, w) is a requirement of
+target t exactly when t tells z and w apart, and the requirement is then
+the pair's mask less t, so one sort and one transpose serve all targets
+(``fun_vertices``). One solver, ``_least_args``, finds the least k and the
+least-lexicographic argument set on either, and ``_hit`` keeps no state
+between calls: it branches on the untried vertices of the lowest pending
+requirement in id order, and a vertex that fails is excluded through a
+``tried`` mask, so a failure holds whatever search asked. The target rides
+in ``tried`` too, and so do the exclusions of the k-search, the
+reconstruction and the witness search of ``fun_graph``. Budgets 1 and 2,
+where most nodes sit, have fast paths (see ``_hit``).
 
 Checking a given argument list works on classes, not vertices:
 ``_profile_classes`` splits the vertices outside S + {y} by each argument
@@ -354,16 +361,18 @@ def _hit(need: int, budget: int, reqs: list[int], cover: list[int], tried: int =
     """At most ``budget`` elements outside ``tried`` hitting every bit of ``need``.
 
     ``need`` is a mask of requirement bits, ``reqs`` and ``cover`` the system
-    from ``_arg_system`` and ``tried`` a vertex mask. Returns the chosen
-    elements as a vertex mask, or None when no such set exists.
+    from ``_arg_system`` or ``_pair_system`` and ``tried`` a vertex mask.
+    Returns the chosen elements as a vertex mask, or None when no such set
+    exists.
 
     The search branches on the lowest pending requirement, the smallest at
     the start, and tries its untried elements in id order; an element that
     fails is added to ``tried`` for the later branches, since every set
     holding it was just ruled out. So None means that no set of at most
-    ``budget`` elements outside ``tried`` hits ``need``, and the k-search,
-    the lexicographic reconstruction and ``_fun_branch`` pass their
-    exclusions as ``tried``.
+    ``budget`` elements outside ``tried`` hits ``need``. ``_least_args``
+    passes the target as ``tried``, since the requirements of a
+    ``_pair_system`` hold it, together with the exclusions of its k-search
+    and lexicographic reconstruction; ``_fun_branch`` passes nothing.
 
     Two fast paths stay, because most nodes sit at budget 2 or less.
     At budget 1 the one element lies in every pending requirement, so the
@@ -431,18 +440,44 @@ def _hit(need: int, budget: int, reqs: list[int], cover: list[int], tried: int =
     return None
 
 
-def _min_args(rows, universe: int, y: int) -> tuple[int, list[int]]:
-    """Exact minimum argument set for y inside ``universe``.
+def _pair_system(rows, universe: int) -> tuple[list[int], list[int], list[int]]:
+    """Every target's argument sets inside ``universe`` as one transposed system.
+
+    For z < w in ``universe`` let D(z, w) be z, w and the vertices of
+    ``universe`` telling them apart. For a target t outside {z, w}, the pair
+    is a conflict exactly when t lies in D(z, w), and its requirement is
+    D(z, w) - t, so every target's requirements sort by the size of D.
+    Returns (reqs, cover, own): ``reqs`` lists the distinct D masks, smallest
+    first, ``cover[e]`` is the mask of the requirement bits holding e, and
+    ``own[t]`` marks those whose every pair holds t. Target t's system is
+    ``cover[t] & ~own[t]`` with t in ``tried`` (see ``_least_args``).
+    """
+    inside = [(rows[v] & universe, 1 << v) for v in bit_ids(universe)]
+    pairs = {}  # D -> the vertices common to every pair that makes it
+    for i, (a, bz) in enumerate(inside):
+        for b, bw in inside[i + 1:]:
+            d = (a ^ b) | bz | bw
+            pairs[d] = pairs.get(d, -1) & (bz | bw)
+    reqs = sorted(pairs, key=int.bit_count)
+    width = universe.bit_length()
+    # one transpose makes both: each mask's common pair vertices ride above it
+    cols = _columns([d | pairs[d] << width for d in reqs], 2 * width)
+    return reqs, cols[:width], cols[width:]
+
+
+def _least_args(need: int, reqs: list[int], cover: list[int], y: int) -> tuple[int, list[int]]:
+    """Exact minimum argument set for y that hits every requirement of ``need``.
 
     Returns (k, ids) with ids the lexicographically least minimum set
-    (ordered as a sorted id list), matching naive subset enumeration.
+    (ordered as a sorted id list), matching naive subset enumeration. y
+    itself is never chosen, so the requirements may hold it.
     """
-    need, reqs, cover = _arg_system(rows, universe, y)
     if not need:
         return 0, []
+    tried = 1 << y
     # N(y) itself is an argument set, so the deepening stops by |N(y)|
     for k in itertools.count(1):
-        known = _hit(need, k, reqs, cover)
+        known = _hit(need, k, reqs, cover, tried)
         if known is not None:
             break
     # slot by slot, take the least e above the last choice that a set of the
@@ -455,8 +490,8 @@ def _min_args(rows, universe: int, y: int) -> tuple[int, list[int]]:
         first = (known & -known).bit_length() - 1
         while e < first:
             c = cover[e]
-            if c & need:
-                sub = _hit(need & ~c, budget, reqs, cover, (2 << e) - 1)
+            if c & need and e != y:
+                sub = _hit(need & ~c, budget, reqs, cover, tried | (2 << e) - 1)
                 if sub is not None:
                     known = sub | 1 << e
                     break
@@ -466,6 +501,11 @@ def _min_args(rows, universe: int, y: int) -> tuple[int, list[int]]:
         known &= ~(1 << e)
         e += 1
     return k, chosen
+
+
+def _min_args(rows, universe: int, y: int) -> tuple[int, list[int]]:
+    """Exact minimum argument set for y inside ``universe`` (see ``_least_args``)."""
+    return _least_args(*_arg_system(rows, universe, y), y)
 
 
 def _witness_from_args(g: Graph, y: int, args: list[int], origin: str) -> Witness:
@@ -485,6 +525,23 @@ def fun_vertex(g: Graph, y: int) -> tuple[int, Witness]:
     _check_vertex(g, y, "y")
     k, args = _min_args(g.rows, g.full_mask, y)
     return k, _witness_from_args(g, y, args, "exhaustive")
+
+
+def fun_vertices(g: Graph, max_n: int | None = None) -> list[tuple[int, Witness]]:
+    """``[fun_vertex(g, y) for y in range(g.n)]`` from one system for the graph.
+
+    The hitting-set system is built once (``_pair_system``) instead of once
+    per vertex, which pays on small graphs, where building dominates. It
+    holds all n(n - 1)/2 pair masks at once, so it is guarded like
+    ``fun_graph``; for one vertex, or a large graph, call ``fun_vertex``.
+    """
+    _check_guard(g, max_n, FUN_MAX_N_DEFAULT, "fun_vertices")
+    reqs, cover, own = _pair_system(g.rows, g.full_mask)
+    answers = []
+    for y in range(g.n):
+        k, args = _least_args(cover[y] & ~own[y], reqs, cover, y)
+        answers.append((k, _witness_from_args(g, y, args, "exhaustive")))
+    return answers
 
 
 def fun_vertex_naive(g: Graph, y: int) -> tuple[int, tuple[int, ...]]:

@@ -345,6 +345,17 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, make_arg
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "campaign", [name for name in CAMPAIGN_NAMES if name != "refute"]  # refute draws no size
+)
+def test_empty_config_sizes_exits_2_with_one_line(tmp_path, capsys, campaign):
+    config = _json_file(tmp_path, "c.json", {"sizes": [], "trials": 2})
+    code = main(["verify", campaign, "--config", config])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: sizes must not be empty; omit it for the defaults\n"
+
+
 @pytest.mark.parametrize("campaign", ["lemma-sd", "thm-fun8"])
 def test_interval_campaign_edge_cap_names_the_interval_model(capsys, campaign):
     code = main(["verify", campaign, "--sizes", "5,1449", "--trials", "1"])
