@@ -7,8 +7,6 @@ system must be the one ``_arg_system`` builds for it alone, and
 ``fun_vertices`` must answer exactly as ``fun_vertex`` does, vertex by vertex.
 """
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +15,7 @@ import funbox as fb
 from funbox.campaigns import random_graph, random_interval_rep, random_permutation
 from funbox.graphs import bit_ids
 from funbox.parameters import _arg_system, _pair_system
+from test_exact_core import _all_graphs
 
 
 def _edges(g):
@@ -134,8 +133,6 @@ def test_fun_vertices_on_the_empty_graph():
 
 
 def test_every_graph_on_four_vertices():
-    pairs = list(itertools.combinations(range(4), 2))
-    for bits in range(1 << len(pairs)):
-        g = fb.from_edge_list(4, [p for i, p in enumerate(pairs) if bits >> i & 1])
+    for g in _all_graphs(4):
         _check_fun_vertices(g)
         _check_target_systems(g.rows, g.full_mask)
