@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import hashlib
 import json
@@ -170,6 +171,68 @@ def test_report_independent_of_worker_count():
     seq = verify_campaign("lemma-sd", cfg, workers=1).to_json()
     par = verify_campaign("lemma-sd", cfg, workers=2).to_json()
     assert _strip_timing(seq) == _strip_timing(par)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """``max_workers`` of every process pool made; the pool maps in process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # a module-level import in campaigns would bypass the patch above and fork
+    # max_workers real processes; patch that name too, so it fails instead
+    monkeypatch.setattr(campaigns, "ProcessPoolExecutor", RecordingPool, raising=False)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "workers, sizes, cpus, made",
+    [
+        (10**6, [2, 2, 3], 64, [3]),  # capped by the instance count
+        (10**6, [2, 2, 3], 2, [2]),  # capped by the CPU count
+        (10**6, [2, 2, 3], 1, []),
+        (10**6, [2, 2, 3], None, []),
+        (2, [2], 64, []),  # one instance runs in process
+        (2, [2, 2, 3], 64, [2]),
+    ],
+)
+def test_pool_size_is_capped(monkeypatch, pool_sizes, workers, sizes, cpus, made):
+    monkeypatch.setattr(campaigns.os, "cpu_count", lambda: cpus)
+    cfg = CampaignConfig(sizes=sizes)
+    report = verify_campaign("gk-sd", cfg, workers=workers).to_json()
+    assert pool_sizes == made
+    assert _strip_timing(report) == _strip_timing(verify_campaign("gk-sd", cfg).to_json())
+
+
+def test_least_arity_check_agrees_with_the_naive_search():
+    for n in range(1, 11):
+        for seed in range(3):
+            g = campaigns.random_graph(n, 1, 2, 100 * n + seed)
+            for y, (k, w) in enumerate(fb.fun_vertices(g)):
+                naive_k, naive_args = fb.fun_vertex_naive(g, y)
+                assert k == naive_k
+                assert campaigns._least_arity_holds(g, y, k, w.args)
+                assert campaigns._least_arity_holds(g, y, naive_k, naive_args)
+                spare = [v for v in range(n) if v != y and v not in w.args]
+                if spare:  # a working set one too large
+                    assert not campaigns._least_arity_holds(
+                        g, y, k + 1, tuple(sorted(w.args + (spare[0],)))
+                    )
+                if k:  # one too small
+                    assert not campaigns._least_arity_holds(g, y, k - 1, w.args[:-1])
 
 
 def test_every_campaign_passes_smoke_config():

@@ -689,14 +689,19 @@ def test_minimal_report_renders(tmp_path, capsys, fmt):
     assert code == 0 and "gk-sd" in out
 
 
-def _run_module(*argv, unbuffered=False):
-    """``python -m funbox.cli ARGV`` on this checkout's sources, through real pipes."""
+def _module_env(unbuffered=False):
+    """The environment of a child interpreter that runs this checkout's sources."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    cmd = [sys.executable, "-m", "funbox.cli", *argv]
-    return subprocess.run(cmd, env=env, capture_output=True, timeout=120)
+    return env
+
+
+def _run_module(*argv, unbuffered=False, module="funbox.cli"):
+    """``python -m MODULE ARGV`` on this checkout's sources, through real pipes."""
+    cmd = [sys.executable, "-m", module, *argv]
+    return subprocess.run(cmd, env=_module_env(unbuffered), capture_output=True, timeout=120)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -704,6 +709,33 @@ def test_process_gen_exits_0_and_pipes_the_in_process_bytes(capsys, unbuffered):
     proc = _run_module("gen", "hypercube", "--n", "3", unbuffered=unbuffered)
     _, out = run_cli(capsys, "gen", "hypercube", "--n", "3")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
+
+
+def test_process_python_m_funbox_pipes_the_cli_bytes():
+    proc = _run_module("gen", "hypercube", "--n", "3", module="funbox")
+    cli_proc = _run_module("gen", "hypercube", "--n", "3")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == cli_proc.stdout
+
+
+@pytest.mark.parametrize(
+    "run",
+    ["", "funbox.cli.main(['verify', 'gk-sd', '--sizes', '2', '--workers', '4', '-o', out])"],
+    ids=["import", "verify-one-instance"],
+)
+def test_process_loads_no_process_pool(tmp_path, run):
+    # a campaign run in one process, and the import itself, must not pay for
+    # concurrent.futures and multiprocessing
+    code = (
+        "import sys, funbox, funbox.cli\n"
+        f"out = {str(tmp_path / 'r.json')!r}\n"
+        f"{run}\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_module_env(), capture_output=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout) == (0, b"[]\n")
 
 
 def test_process_bad_input_exits_2_with_one_error_line(tmp_path):
