@@ -67,6 +67,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class CampaignConfig:
+    """A campaign's settings; every field is checked here, whether the
+    config comes from a file (``from_json``), from CLI flags or from Python."""
+
     seed: int = 1
     sizes: list[int] | None = None
     trials: int | None = None
@@ -76,6 +79,18 @@ class CampaignConfig:
     format: str = "json"
 
     def __post_init__(self):
+        try:
+            if self.sizes is not None:
+                for s in _json_list(self.sizes, "config 'sizes'"):
+                    _json_int(s, "config size")
+            if self.trials is not None:
+                _json_int(self.trials, "config 'trials'")
+            for name in ("seed", "fun_max_n", "sd_max_n"):
+                _json_int(getattr(self, name), f"config {name!r}")
+        except GraphError as exc:
+            raise ConfigError(str(exc)) from None
+        if not isinstance(self.output, (str, type(None))):
+            raise ConfigError(f"config 'output' must be a string, got {self.output!r}")
         if self.trials is not None and self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.sizes is not None and not self.sizes:
@@ -85,23 +100,19 @@ class CampaignConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "CampaignConfig":
+        """The config a JSON document describes. Its keys are those that
+        ``to_json`` writes, and the constructor checks their values."""
         try:
             data = _json_object(data, "campaign config")
             limits = _json_object(data.get("limits", {}), "config 'limits'")
-            sizes, trials = data.get("sizes"), data.get("trials")
-            if sizes is not None:
-                sizes = [_json_int(s, "config size") for s in _json_list(sizes, "config 'sizes'")]
-            if trials is not None:
-                trials = _json_int(trials, "config 'trials'")
-            seed = _json_int(data.get("seed", 1), "config 'seed'")
-            fun_max_n = _json_int(limits.get("fun_max_n", FUN_MAX_N_DEFAULT), "config 'fun_max_n'")
-            sd_max_n = _json_int(limits.get("sd_max_n", SD_MAX_N_DEFAULT), "config 'sd_max_n'")
         except GraphError as exc:
             raise ConfigError(str(exc)) from None
-        output = data.get("output")
-        if not isinstance(output, (str, type(None))):
-            raise ConfigError(f"config 'output' must be a string, got {output!r}")
-        return cls(seed, sizes, trials, fun_max_n, sd_max_n, output, data.get("format", "json"))
+        keys = cls().to_json()
+        unknown = [k for k in data if k not in keys]
+        unknown += [f"limits.{k}" for k in limits if k not in keys["limits"]]
+        if unknown:
+            raise ConfigError(f"unknown campaign config key {unknown[0]!r}")
+        return cls(**{k: v for k, v in data.items() if k != "limits"}, **limits)
 
     def to_json(self) -> dict:
         return {
@@ -237,8 +248,6 @@ _REFUTE_TARGETS = {
 
 @lru_cache(maxsize=len(_REFUTE_TARGETS))
 def _refute_target(name: str):
-    if name not in _REFUTE_TARGETS:
-        raise ConfigError(f"unknown refutation target {name!r}")
     family, args, k, p = _REFUTE_TARGETS[name]
     g, _ = family(*args)
     return g, k, p
@@ -514,8 +523,10 @@ def verify_campaign(
     if procs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # chunks of at most 8 instances, small enough that every process gets one
+        chunksize = min(8, len(tasks) // procs)
         with ProcessPoolExecutor(max_workers=procs) as pool:
-            instances = list(pool.map(_run_one, tasks, chunksize=8))
+            instances = list(pool.map(_run_one, tasks, chunksize=chunksize))
     else:
         instances = [_run_one(t) for t in tasks]
     return CampaignReport(

@@ -503,11 +503,6 @@ def _least_args(need: int, reqs: list[int], cover: list[int], y: int) -> tuple[i
     return k, chosen
 
 
-def _min_args(rows, universe: int, y: int) -> tuple[int, list[int]]:
-    """Exact minimum argument set for y inside ``universe`` (see ``_least_args``)."""
-    return _least_args(*_arg_system(rows, universe, y), y)
-
-
 def _witness_from_args(g: Graph, y: int, args: list[int], origin: str) -> Witness:
     _check_arity(len(args))
     args_t = tuple(args)
@@ -523,7 +518,7 @@ def _witness_from_args(g: Graph, y: int, args: list[int], origin: str) -> Witnes
 def fun_vertex(g: Graph, y: int) -> tuple[int, Witness]:
     """Exact functionality of y with a validated minimal witness."""
     _check_vertex(g, y, "y")
-    k, args = _min_args(g.rows, g.full_mask, y)
+    k, args = _least_args(*_arg_system(g.rows, g.full_mask, y), y)
     return k, _witness_from_args(g, y, args, "exhaustive")
 
 

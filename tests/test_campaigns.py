@@ -86,6 +86,23 @@ def test_config_validates():
         CampaignConfig(format="yaml")
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"sizes": ["a"]}, "config size must be an integer, got 'a'"),
+        ({"seed": "x"}, "config 'seed' must be an integer, got 'x'"),
+        ({"fun_max_n": None}, "config 'fun_max_n' must be an integer, got None"),
+        ({"sizes": [5], "trials": 2.0}, "config 'trials' must be an integer, got 2.0"),
+        ({"trials": True}, "config 'trials' must be an integer, got True"),
+        ({"output": 3}, "config 'output' must be a string, got 3"),
+    ],
+)
+def test_config_built_in_python_is_checked(fields, message):
+    with pytest.raises(ConfigError) as exc:
+        verify_campaign("threshold-fun0", CampaignConfig(**fields))
+    assert str(exc.value) == message
+
+
 def test_unknown_campaign():
     with pytest.raises(ConfigError):
         verify_campaign("nope", CampaignConfig())
@@ -175,12 +192,13 @@ def test_report_independent_of_worker_count():
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """``max_workers`` of every process pool made; the pool maps in process."""
-    sizes = []
+    """``(max_workers, chunksize, task count)`` of every process pool made;
+    the pool maps in process."""
+    pools = []
 
     class RecordingPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            self.max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -189,31 +207,38 @@ def pool_sizes(monkeypatch):
             return False
 
         def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            pools.append((self.max_workers, chunksize, len(tasks)))
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     # a module-level import in campaigns would bypass the patch above and fork
     # max_workers real processes; patch that name too, so it fails instead
     monkeypatch.setattr(campaigns, "ProcessPoolExecutor", RecordingPool, raising=False)
-    return sizes
+    return pools
 
 
 @pytest.mark.parametrize(
     "workers, sizes, cpus, made",
     [
-        (10**6, [2, 2, 3], 64, [3]),  # capped by the instance count
-        (10**6, [2, 2, 3], 2, [2]),  # capped by the CPU count
+        (10**6, [2, 2, 3], 64, [(3, 1)]),  # capped by the instance count
+        (10**6, [2, 2, 3], 2, [(2, 1)]),  # capped by the CPU count
         (10**6, [2, 2, 3], 1, []),
         (10**6, [2, 2, 3], None, []),
         (2, [2], 64, []),  # one instance runs in process
-        (2, [2, 2, 3], 64, [2]),
+        (2, [2, 2, 3], 64, [(2, 1)]),
+        (3, [2] * 10, 64, [(3, 3)]),  # chunks of 8 would leave a process idle
+        (2, [2] * 16, 64, [(2, 8)]),
+        (2, [2] * 21, 64, [(2, 8)]),
     ],
 )
 def test_pool_size_is_capped(monkeypatch, pool_sizes, workers, sizes, cpus, made):
     monkeypatch.setattr(campaigns.os, "cpu_count", lambda: cpus)
     cfg = CampaignConfig(sizes=sizes)
     report = verify_campaign("gk-sd", cfg, workers=workers).to_json()
-    assert pool_sizes == made
+    assert [(procs, chunksize) for procs, chunksize, _ in pool_sizes] == made
+    for procs, chunksize, instances in pool_sizes:
+        assert -(-instances // chunksize) >= procs  # every process gets a chunk
     assert _strip_timing(report) == _strip_timing(verify_campaign("gk-sd", cfg).to_json())
 
 

@@ -481,6 +481,46 @@ def test_config_from_json_raises_config_error(payload):
         CampaignConfig.from_json(payload)
 
 
+@pytest.mark.parametrize(
+    "payload", [p for p in _MALFORMED_CONFIGS if isinstance(p.get("limits", {}), dict)]
+)
+def test_config_constructor_checks_what_a_file_is_checked_for(payload):
+    with pytest.raises(ConfigError) as from_file:
+        CampaignConfig.from_json(payload)
+    kwargs = {k: v for k, v in payload.items() if k != "limits"} | payload.get("limits", {})
+    with pytest.raises(ConfigError) as from_python:
+        CampaignConfig(**kwargs)
+    assert str(from_python.value) == str(from_file.value)
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"trails": 1}, "'trails'"),
+        ({"seed": 2, "limits": {"fun_maxn": 3}}, "'limits.fun_maxn'"),
+        ({"limits": {"fun_max_n": 9}, "fun_max_n": 9}, "'fun_max_n'"),
+        ({"campaign": "hni"}, "'campaign'"),
+    ],
+)
+def test_unknown_config_key_is_2_naming_it(tmp_path, capsys, payload, key):
+    code = main(["verify", "gk-sd", "--config", _json_file(tmp_path, "c.json", payload)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: unknown campaign config key {key}\n"
+
+
+@pytest.mark.parametrize("name", CAMPAIGN_NAMES)
+def test_default_report_config_loads_as_a_config_file(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", name, "--seed", "1", "--workers", "1", "-o", f"{name}.json"]) == 0
+    config = json.loads((tmp_path / f"{name}.json").read_text())["config"]
+    assert CampaignConfig.from_json(config).to_json() == config
+    path = _json_file(tmp_path, "c.json", config)
+    assert main(["verify", name, "--config", path, "--trials", "1", "-o", "again.json"]) == 0
+    again = json.loads((tmp_path / "again.json").read_text())["config"]
+    assert again == {**config, "trials": 1, "output": "again.json"}
+
+
 _BOXES = {"d": 2, "scale_denominator": 1, "boxes": [[[0, 2], [0, 2]]]}
 
 

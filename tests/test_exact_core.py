@@ -30,7 +30,7 @@ from funbox.parameters import (
     _fun_branch,
     _fun_floor,
     _hit,
-    _min_args,
+    _least_args,
     _min_pair_sd,
     _sd_branch,
     _sd_floor,
@@ -176,7 +176,7 @@ def test_branch_search_steps_each_mask_once_and_fewer_than_seen_search():
 # ---------------------------------------------------------------- hitter lists
 
 def _check_min_args(g, y):
-    got = _min_args(g.rows, g.full_mask, y)
+    got = _least_args(*_arg_system(g.rows, g.full_mask, y), y)
     assert got == restricted_min_args(g.rows, g.full_mask, y)
     assert got == listbb_min_args(g.rows, g.full_mask, y)
 

@@ -170,6 +170,13 @@ def test_json_round_trip():
     assert back.labels == g.labels
 
 
+def test_label_of_a_vertex():
+    g = fb.from_edge_list(4, [(0, 1), (2, 3)], labels={0: "A:1", 3: "C:2"})
+    assert g.label(3) == "C:2"
+    assert g.label(1) is None  # no label, in a labelled graph
+    assert path(4).label(0) is None  # a graph without labels
+
+
 def test_json_edgeless_graph_at_the_vertex_limit_loads():
     g = fb.graph_from_json({"n": 1 << 16, "edges": []})
     assert g.n == 1 << 16 and g.edge_count() == 0
