@@ -49,9 +49,9 @@ from .intervals import (
 from .parameters import (
     FUN_MAX_N_DEFAULT,
     SD_MAX_N_DEFAULT,
-    _cached_k2p_free,
-    _cached_triangle_free,
+    _k2p_free,
     _min_pair_sd,
+    _triangle_free,
     fun_graph,
     fun_vertices,
     is_function_of,
@@ -65,7 +65,7 @@ class ConfigError(ValueError):
     """Bad campaign name or configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CampaignConfig:
     """A campaign's settings; every field is checked here, whether the
     config comes from a file (``from_json``), from CLI flags or from Python."""
@@ -298,8 +298,8 @@ def _instance_hni(params: dict) -> tuple[dict, bool]:
         "box_degree": all(g.degree(v) == n for v in box_ids),
         "point_degree": all(g.degree(v) == i for v in p_ids),
     }
-    checks["k22_free"] = _cached_k2p_free(g, 2)
-    checks["triangle_free"] = _cached_triangle_free(g)
+    checks["k22_free"] = _k2p_free(g.rows, 2)
+    checks["triangle_free"] = _triangle_free(g.rows)
     # both realizers raise RealizationError unless their boxes rebuild g
     pts, bs, report = realize_pointbox_plane(n, i)
     checks["plane_equal"] = report.equal

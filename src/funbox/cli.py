@@ -3,8 +3,9 @@
 Exit codes: 0 success / all instances pass, 1 any verification failure,
 2 usage or configuration error, malformed input, or an input over a size
 guard. ``realize`` exits 1 with one ``error:`` line when a model fails its
-own self-check (its rebuilt graph differs from the target). The
-FUNBOX_MAX_N environment variable overrides the exact-search size guards.
+own self-check (its rebuilt graph differs from the target). ``compute
+--max-n`` sets the size guard of ``fun-graph`` and ``sd-graph`` and is an
+error with any other target; no environment variable changes a guard.
 """
 
 from __future__ import annotations
@@ -114,6 +115,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_compute(args) -> int:
+    if args.max_n is not None and args.what not in ("fun-graph", "sd-graph"):
+        raise GraphError(f"--max-n applies to fun-graph and sd-graph, not {args.what}")
     g = graph_from_json(_load_json(args.input))
     if args.what == "fun-vertex":
         if args.vertex is None:

@@ -123,8 +123,8 @@ class Graph:
     pair ``u < v``.
 
     Labels are per-vertex metadata (opaque strings) and never influence any
-    algorithm. Instances must not be mutated after construction; derived
-    structural facts may be memoized in ``_cache``.
+    algorithm. Instances must not be mutated after construction;
+    ``refute_function`` memoizes its premises in ``_cache``.
     """
 
     __slots__ = ("n", "rows", "labels", "_cache")

@@ -55,7 +55,6 @@ for the class of profile m that meets N(y).
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable
@@ -175,21 +174,15 @@ def _emit(g: Graph, w: Witness) -> Witness:
 
 
 def _check_guard(g: Graph, max_n, default: int, search: str) -> None:
-    """Refuse ``search`` on more vertices than its guard: ``max_n`` if given,
-    else FUNBOX_MAX_N if set, else ``default``. A guard that is not a
-    non-negative integer is a GraphError naming where it came from."""
-    env = os.environ.get("FUNBOX_MAX_N")
-    if max_n is not None:
-        source, limit = "max_n / --max-n", max_n
-    elif env:
-        source, limit = "FUNBOX_MAX_N", int(env) if env.strip().isdecimal() else env
-    else:
-        source, limit = "default", default
+    """Refuse ``search`` on more vertices than ``max_n``, or ``default`` when
+    ``max_n`` is None. A ``max_n`` that is not a non-negative integer is a
+    GraphError."""
+    limit = default if max_n is None else max_n
     if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
-        raise GraphError(f"{source} must be a non-negative integer, got {limit!r}")
+        raise GraphError(f"max_n / --max-n must be a non-negative integer, got {limit!r}")
     if g.n > limit:
         raise SizeLimitError(
-            f"{search} guard is {limit} vertices (got {g.n}); raise max_n or FUNBOX_MAX_N"
+            f"{search} guard is {limit} vertices (got {g.n}); raise max_n / --max-n"
         )
 
 
@@ -663,20 +656,11 @@ class StructureReport:
     p: int
 
 
-def _memo(g: Graph, key, compute):
-    """``compute()``, computed once per graph and kept in ``g._cache[key]``."""
-    if key not in g._cache:
-        g._cache[key] = compute()
-    return g._cache[key]
-
-
-def _cached_triangle_free(g: Graph) -> bool:
-    rows = g.rows
-    # a triangle is an edge uv, u < v, whose ends share a neighbour
-    triangles = (
+def _triangle_free(rows) -> bool:
+    """Whether no edge uv, u < v, has ends that share a neighbour."""
+    return not any(
         row & rows[v] for u, row in enumerate(rows) for v in bit_ids(row >> (u + 1) << (u + 1))
     )
-    return _memo(g, "triangle_free", lambda: not any(triangles))
 
 
 def _k2p_free(rows, p: int) -> bool:
@@ -698,18 +682,6 @@ def _k2p_free(rows, p: int) -> bool:
             if level[-1]:
                 return False
     return True
-
-
-def _cached_k2p_free(g: Graph, p: int) -> bool:
-    return _memo(g, ("k2p_free", p), lambda: _k2p_free(g.rows, p))
-
-
-def _cached_degree_bounds(g: Graph) -> tuple[int, int]:
-    def bounds():
-        degs = [r.bit_count() for r in g.rows]
-        return (min(degs), max(degs)) if degs else (0, 0)
-
-    return _memo(g, "deg_bounds", bounds)
 
 
 def is_threshold(g: Graph) -> bool:
@@ -748,8 +720,8 @@ def structure_scan(g: Graph, p: int) -> StructureReport:
     return StructureReport(
         twins=tuple(twins),
         anti_twins=tuple(anti),
-        triangle_free=_cached_triangle_free(g),
-        k2p_free=_cached_k2p_free(g, p),
+        triangle_free=_triangle_free(rows),
+        k2p_free=_k2p_free(rows, p),
         threshold=is_threshold(g),
         p=p,
     )
@@ -896,12 +868,18 @@ def refute_function(
         raise GraphError(f"expected |S| = {k}, got {len(s_ids)}")
     if p < 2:
         raise GraphError("refutation premises require p >= 2")
+    # the premises are kept per graph: the refute campaign asks them of two
+    # graphs a thousand times each
+    key = ("premises", p)
+    if key not in g._cache:
+        degs = [r.bit_count() for r in g.rows] or [0]
+        g._cache[key] = (_triangle_free(g.rows), _k2p_free(g.rows, p), min(degs), max(degs))
+    triangle_free, k2p_free, dmin, dmax = g._cache[key]
     violations = []
-    if not _cached_triangle_free(g):
+    if not triangle_free:
         violations.append("graph contains a triangle")
-    if not _cached_k2p_free(g, p):
+    if not k2p_free:
         violations.append(f"graph contains a K_{{2,{p}}} subgraph")
-    dmin, dmax = _cached_degree_bounds(g)
     if dmin < k * p + 1:
         violations.append(f"min degree {dmin} < kp+1 = {k * p + 1}")
     if dmax * (k + 1) > g.n - k - 2:

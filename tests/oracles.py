@@ -944,7 +944,7 @@ def nogood_search(need: int, budget: int, hitters: Hitters, tried: int):
 
 # ---------------------------------------------------------------------------
 # the pair loop replaced by bit-sliced common-neighbour counters in
-# funbox.parameters._cached_k2p_free
+# funbox.parameters._k2p_free
 # ---------------------------------------------------------------------------
 
 def pairloop_k2p_free(g: Graph, p: int) -> bool:

@@ -2,7 +2,7 @@ import concurrent.futures
 import copy
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -77,6 +77,15 @@ def test_config_json_round_trip():
     assert cfg.seed == 9 and cfg.trials == 3
     assert cfg.fun_max_n == 10 and cfg.sd_max_n == 11
     assert CampaignConfig.from_json(cfg.to_json()) == cfg
+
+
+def test_config_is_frozen():
+    # a field set after construction would skip the checks and reach the report
+    cfg = CampaignConfig()
+    for f in fields(cfg):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, f.name, True)
+    assert cfg == CampaignConfig()
 
 
 def test_config_validates():
@@ -261,12 +270,9 @@ def test_least_arity_check_agrees_with_the_naive_search():
 
 
 def test_every_campaign_passes_smoke_config():
+    sizes = {"gk-sd": [2], "hni": [3]}
     for name in CAMPAIGN_NAMES:
-        cfg = CampaignConfig(seed=2, trials=4)
-        if name == "gk-sd":
-            cfg.sizes = [2]
-        if name == "hni":
-            cfg.sizes = [3]
+        cfg = CampaignConfig(seed=2, trials=4, sizes=sizes.get(name))
         report = verify_campaign(name, cfg)
         assert report.ok, (name, [r for r in report.instances if not r["pass"]])
         assert report.version == fb.__version__

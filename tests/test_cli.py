@@ -268,7 +268,8 @@ def _nested_file(tmp_path):
         lambda t: ["verify", "lemma-sd", "--sizes", "1449", "--trials", "1"],
         lambda t: ["verify", "thm-fun8", "--sizes", "5,1449", "--trials", "1"],
         lambda t: ["verify", "abc-realize", "--sizes", "649", "--trials", "1"],
-        lambda t: ({"FUNBOX_MAX_N": "abc"}, ["compute", "fun-graph", "-i", _q4_file(t)]),
+        lambda t: ["compute", "fun-vertex", "-i", _q4_file(t), "--vertex", "0", "--max-n", "16"],
+        lambda t: [*_sd_pair_argv(t, 5), "--max-n", "16"],
         lambda t: ["compute", "sd-graph", "-i", _q4_file(t), "--max-n", "-1"],
         lambda t: ["compute", "fun-graph", "-i", _q4_file(t), "--max-n", "abc"],
         lambda t: ["verify", "nope"],
@@ -309,7 +310,8 @@ def _nested_file(tmp_path):
         "lemma-sd-over-edge-limit",
         "thm-fun8-over-edge-limit",
         "abc-realize-over-edge-limit",
-        "max-n-env-not-an-integer",
+        "fun-vertex-with-max-n",
+        "sd-pair-with-max-n",
         "max-n-below-0",
         "max-n-not-an-integer",
         "unknown-campaign",
@@ -333,16 +335,19 @@ def _nested_file(tmp_path):
         "report-nested-json",
     ],
 )
-def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, make_argv):
-    argv = make_argv(tmp_path)
-    if isinstance(argv, tuple):  # (environment, argv)
-        env, argv = argv
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
-    code = main(argv)
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, make_argv):
+    code = main(make_argv(tmp_path))
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("what", ["fun-graph", "sd-graph"])
+def test_funbox_max_n_env_is_not_a_guard(tmp_path, capsys, monkeypatch, what):
+    monkeypatch.setenv("FUNBOX_MAX_N", "abc")
+    path = _json_file(tmp_path, "c5.json", {"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]})
+    code, out = run_cli(capsys, "compute", what, "-i", path)
+    assert code == 0 and json.loads(out) == {what.replace("-", "_"): 2}
 
 
 @pytest.mark.parametrize(

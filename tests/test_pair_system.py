@@ -119,13 +119,11 @@ def test_a_mask_shared_with_a_pair_holding_the_target_still_counts():
     assert [k for k, _ in fb.fun_vertices(g)] == [1, 1, 0]
 
 
-def test_fun_vertices_guard(monkeypatch):
-    monkeypatch.delenv("FUNBOX_MAX_N", raising=False)
+def test_fun_vertices_guard():
     g = random_graph(13, 1, 2, 7)
     with pytest.raises(fb.SizeLimitError, match="fun_vertices guard is 12 vertices"):
         fb.fun_vertices(g)
-    monkeypatch.setenv("FUNBOX_MAX_N", "13")
-    assert fb.fun_vertices(g) == [fb.fun_vertex(g, y) for y in range(g.n)]
+    assert fb.fun_vertices(g, max_n=13) == [fb.fun_vertex(g, y) for y in range(g.n)]
 
 
 def test_fun_vertices_on_the_empty_graph():

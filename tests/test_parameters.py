@@ -66,26 +66,29 @@ def test_sd_graph_size_guard():
     assert fb.sd_graph(big, max_n=15) == 0
 
 
-def test_max_n_env_override(monkeypatch):
+def test_funbox_max_n_env_changes_no_guard(monkeypatch):
+    small = random_graph(9, 1, 2, 5)
     big = fb.from_edge_list(15, [])
-    monkeypatch.setenv("FUNBOX_MAX_N", "15")
-    assert fb.sd_graph(big) == 0
+    searches = (fb.sd_graph, fb.fun_graph, fb.fun_vertices)
+    answers = [search(small) for search in searches]
+    for value in ("5", "15", "abc"):
+        monkeypatch.setenv("FUNBOX_MAX_N", value)
+        assert [search(small) for search in searches] == answers
+        for search in searches:
+            with pytest.raises(SizeLimitError, match="guard is 1[24] vertices"):
+                search(big)
 
 
-def test_bad_max_n_is_a_graph_error_naming_its_source(monkeypatch):
+def test_bad_max_n_is_a_graph_error_naming_its_source():
     g = fb.from_edge_list(2, [(0, 1)])
     for bad in (-1, True, 3.0, "12"):
         with pytest.raises(GraphError, match="max_n / --max-n must be a non-negative integer"):
             fb.fun_graph(g, max_n=bad)
     with pytest.raises(SizeLimitError, match="guard is 0 vertices"):
         fb.sd_graph(g, max_n=0)
-    for bad in ("abc", "-1", "1.5", "²"):
-        monkeypatch.setenv("FUNBOX_MAX_N", bad)
-        with pytest.raises(GraphError, match="FUNBOX_MAX_N must be a non-negative integer"):
-            fb.sd_graph(g)
-    monkeypatch.setenv("FUNBOX_MAX_N", " 1 ")
-    with pytest.raises(SizeLimitError, match="guard is 1 vertices"):
-        fb.fun_graph(g)
+    over = r"fun_graph guard is 1 vertices \(got 2\); raise max_n / --max-n"
+    with pytest.raises(SizeLimitError, match=over):
+        fb.fun_graph(g, max_n=1)
 
 
 # ---------------------------------------------------------------- is_function_of

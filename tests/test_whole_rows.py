@@ -23,7 +23,7 @@ from funbox import graphs
 from funbox.campaigns import random_graph, random_permutation
 from funbox.constructions import _triple_rows
 from funbox.graphs import GraphError
-from funbox.parameters import _cached_k2p_free
+from funbox.parameters import _k2p_free
 from oracles import (
     edgelist_abc_graph,
     edgelist_extend_gk_to_abc,
@@ -206,7 +206,7 @@ def test_half_graph_orders_match_pair_loop(sides):
 def test_k2p_counters_match_pair_loop(n, p_num, p_den, seed):
     g = random_graph(n, p_num, p_den, seed)
     for p in (2, 3, 4):
-        assert _cached_k2p_free(g, p) == pairloop_k2p_free(g, p)
+        assert _k2p_free(g.rows, p) == pairloop_k2p_free(g, p)
 
 
 @pytest.mark.parametrize(
@@ -217,4 +217,4 @@ def test_k2p_counters_match_pair_loop(n, p_num, p_den, seed):
 def test_k2p_counters_match_pair_loop_on_families(family):
     g, _ = family()
     for p in (2, 3, 4):
-        assert _cached_k2p_free(g, p) == pairloop_k2p_free(g, p)
+        assert _k2p_free(g.rows, p) == pairloop_k2p_free(g, p)
