@@ -27,8 +27,7 @@ from typing import Callable
 from . import __version__
 from .constructions import (
     abc_graph,
-    check_gen_edges,
-    check_hni_size,
+    check_size,
     g_k,
     hypercube,
     point_box_incidence,
@@ -39,7 +38,7 @@ from .geometry import (
     realize_abc_intervals,
     realize_pointbox_plane,
 )
-from .graphs import Graph, GraphError, _json_int, _json_list, _json_object, mask_of
+from .graphs import Graph, GraphError, _json_count, _json_int, _json_list, _json_object, mask_of
 from .intervals import (
     IntervalRep,
     check_sd_lemma,
@@ -71,7 +70,7 @@ class CampaignConfig:
     config comes from a file (``from_json``), from CLI flags or from Python."""
 
     seed: int = 1
-    sizes: list[int] | None = None
+    sizes: tuple[int, ...] | None = None
     trials: int | None = None
     fun_max_n: int = FUN_MAX_N_DEFAULT
     sd_max_n: int = SD_MAX_N_DEFAULT
@@ -79,12 +78,14 @@ class CampaignConfig:
     format: str = "json"
 
     def __post_init__(self):
+        # sizes and trials are capped like a file's entries, since planning
+        # holds every instance's params before any instance runs
         try:
             if self.sizes is not None:
-                for s in _json_list(self.sizes, "config 'sizes'"):
+                for s in _json_list(self.sizes, "config 'sizes'", capped=True):
                     _json_int(s, "config size")
             if self.trials is not None:
-                _json_int(self.trials, "config 'trials'")
+                _json_count(_json_int(self.trials, "config 'trials'"), "config", "trials")
             for name in ("seed", "fun_max_n", "sd_max_n"):
                 _json_int(getattr(self, name), f"config {name!r}")
         except GraphError as exc:
@@ -97,6 +98,8 @@ class CampaignConfig:
             raise ConfigError("sizes must not be empty; omit it for the defaults")
         if self.format not in ("json", "markdown"):
             raise ConfigError(f"unknown report format {self.format!r}")
+        if self.sizes is not None:
+            object.__setattr__(self, "sizes", tuple(self.sizes))
 
     @classmethod
     def from_json(cls, data: dict) -> "CampaignConfig":
@@ -117,7 +120,7 @@ class CampaignConfig:
     def to_json(self) -> dict:
         return {
             "seed": self.seed,
-            "sizes": self.sizes,
+            "sizes": None if self.sizes is None else list(self.sizes),
             "trials": self.trials,
             "limits": {"fun_max_n": self.fun_max_n, "sd_max_n": self.sd_max_n},
             "output": self.output,
@@ -405,8 +408,8 @@ def _sampled(
     """Plan of ``cfg.trials or trials`` instances, each drawing n from
     ``cfg.sizes or sizes``, then (``edge_p``) an edge probability p_num/4,
     then a seed; ``fun_limited`` caps the size pool at ``cfg.fun_max_n``,
-    and ``family`` names the model whose edge count at size n bounds what an
-    instance can build (see ``check_gen_edges``)."""
+    and ``family`` names the model whose size at n bounds what an instance
+    can build (see ``check_size``)."""
 
     def plan(rng: SplitMix64, cfg: CampaignConfig) -> list[dict]:
         pool = cfg.sizes or sizes
@@ -417,7 +420,7 @@ def _sampled(
                 f"sizes up to {max(pool)} exceed the fun_max_n limit {cfg.fun_max_n}"
             )
         if family:
-            check_gen_edges(family, max(pool))
+            check_size(family, max(pool))
         plans = []
         for _ in range(cfg.trials or trials):
             params = {"n": pool[rng.below(len(pool))]}
@@ -436,14 +439,13 @@ def _plan_gk_sd(rng: SplitMix64, cfg: CampaignConfig) -> list[dict]:
     sizes = cfg.sizes or [2, 3, 4]
     if min(sizes) < 2:
         raise ConfigError(f"gk-sd needs every k >= 2, got {min(sizes)}")
-    check_gen_edges("gk", k=max(sizes))
+    check_size("gk", k=max(sizes))
     return [{"k": k, "check_coordinates": k <= 3} for k in sizes]
 
 
 def _plan_hni(rng: SplitMix64, cfg: CampaignConfig) -> list[dict]:
     top = max(cfg.sizes or [4])
-    if top >= 1:
-        check_hni_size(top, top)  # (top, top) is the largest instance
+    check_size("hni", top, i=top)  # (top, top) is the largest instance
     return [{"n": n, "i": i} for n in range(1, top + 1) for i in range(1, n + 1)]
 
 

@@ -28,7 +28,7 @@ from .campaigns import (
 from .constructions import (
     abc_graph,
     abc_parts,
-    check_gen_edges,
+    check_size,
     extend_gk_to_abc,
     g_k,
     half_graph,
@@ -109,7 +109,7 @@ _GEN = {
 
 
 def _cmd_gen(args) -> int:
-    check_gen_edges(args.family, args.n, args.k)
+    check_size(args.family, args.n, args.k, args.i)
     _write(graph_to_json(_GEN[args.family](args)), args.output)
     return 0
 

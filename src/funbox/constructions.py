@@ -8,38 +8,64 @@ Every generator builds adjacency rows as masks; none goes through an edge
 list. The ABC-type families (three cliques joined by two half graphs:
 abc_graph, g_k, extend_gk_to_abc) share one row kernel, _triple_rows, and
 point_box_incidence builds its box rows level by level and takes the point
-rows as their columns. Dense families are capped by ``check_gen_edges``.
+rows as their columns. ``check_size`` bounds every family's vertices and
+edges from the closed forms in ``FAMILY_SIZES`` before anything is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 from typing import Sequence
 
 from .graphs import MAX_VERTICES, Graph, GraphError, SizeLimitError, _columns
 
-HYPERCUBE_MAX_DIM = MAX_VERTICES.bit_length() - 1
-
 # Writing a `gen` file peaks at about 140 bytes per edge (144 MB for abc at
-# n=648), mostly graph_to_json's list of [u, v] lists, so a dense family whose
-# edge count, from its closed form in n and k, is larger is refused.
+# n=648), mostly graph_to_json's list of [u, v] lists.
 GEN_MAX_EDGES = 1 << 20
 
 
 def _pairs(m: int) -> int:
-    return comb(max(m, 0), 2)
+    return m * (m - 1) // 2
 
 
-GEN_EDGE_COUNTS = {
-    "half": lambda n, k: _pairs(n),
-    "abc": lambda n, k: 5 * _pairs(n),
-    "gk": lambda n, k: (2 * k + 2) * _pairs(k**3) + _pairs(k**4),
-    "gk-abc": lambda n, k: 5 * _pairs(k**4),
+# family -> (its parameters, its (vertices, edges) in closed form in them);
+# n intervals meet in at most C(n,2) pairs, so that bounds an interval model
+FAMILY_SIZES = {
+    "half": (("n",), lambda n: (2 * n, _pairs(n))),
+    "abc": (("n",), lambda n: (3 * n, 5 * _pairs(n))),
+    "gk": (("k",), lambda k: (2 * k**3 + k**4, (2 * k + 2) * _pairs(k**3) + _pairs(k**4))),
+    "gk-abc": (("k",), lambda k: (3 * k**4, 5 * _pairs(k**4))),
+    "hni": (("n", "i"), lambda n, i: (n**i + i * n ** (i - 1), i * n**i)),
+    "hypercube": (("n",), lambda n: (1 << n, n << n - 1)),
+    "interval model": (("n",), lambda n: (n, _pairs(n))),
 }
-# The same cap bounds the interval models that campaigns draw: n intervals
-# meet in at most C(n,2) pairs.
-_EDGE_COUNTS = {**GEN_EDGE_COUNTS, "interval model": GEN_EDGE_COUNTS["half"]}
+
+
+def check_size(family: str, n: int = 0, k: int = 0, i: int = 0) -> None:
+    """Refuse a ``family`` graph (a key of FAMILY_SIZES) with more than
+    MAX_VERTICES vertices or more than GEN_MAX_EDGES edges.
+
+    The counts come from the closed form, before anything is built. A
+    parameter below 1 counts as an empty graph, left to the generator's own
+    checks. Every family has at least as many vertices as each of its
+    parameters, so one above MAX_VERTICES is refused, as a lower bound on
+    the vertices, before any closed form is evaluated; so is a count too
+    wide to print, as its top power of two.
+    """
+    names, sizes = FAMILY_SIZES[family]
+    args = [{"n": n, "k": k, "i": i}[name] for name in names]
+    if min(args) < 1:
+        return
+    top = max(args)
+    counts, bound = (sizes(*args), "") if top <= MAX_VERTICES else ((top, 0), "at least ")
+    for count, what, limit in zip(counts, ("vertices", "edges"), (MAX_VERTICES, GEN_MAX_EDGES)):
+        if count > limit:
+            if count >> 64:  # too wide to print in full: give its top power of two
+                count, bound = f"2^{count.bit_length() - 1}", "at least "
+            params = ", ".join(f"{name}={arg}" for name, arg in zip(names, args))
+            raise SizeLimitError(
+                f"{family} with {params} has {bound}{count} {what}, more than the limit {limit}"
+            )
 
 
 @dataclass(frozen=True)
@@ -244,29 +270,6 @@ def extend_gk_to_abc(
     return out, meta_out, embed
 
 
-def check_gen_edges(family: str, n: int = 0, k: int = 0) -> None:
-    """Refuse a ``family`` graph, a ``gen`` family or ``"interval model"``,
-    whose closed-form edge count in n and k is over GEN_MAX_EDGES; a family
-    with no closed form passes."""
-    edges = _EDGE_COUNTS[family](n, k) if family in _EDGE_COUNTS else 0
-    if edges > GEN_MAX_EDGES:
-        raise SizeLimitError(
-            f"{family} with n={n}, k={k} has {edges} edges, "
-            f"more than the limit {GEN_MAX_EDGES}"
-        )
-
-
-def check_hni_size(n: int, i: int) -> None:
-    """Refuse an H^n_i with more than MAX_VERTICES vertices, n^i + i*n^(i-1)."""
-    # n^i >= 2^i once n >= 2 (n = 1 forces i = 1), so a large i alone settles it
-    # before any huge power is formed
-    if i >= MAX_VERTICES.bit_length() or n**i + i * n ** (i - 1) > MAX_VERTICES:
-        raise SizeLimitError(
-            f"H^n_i with n={n}, i={i} has n^i + i*n^(i-1) vertices, "
-            f"more than the limit {MAX_VERTICES}"
-        )
-
-
 def point_box_incidence(n: int, i: int) -> tuple[Graph, ConstructionLabels]:
     """Recursive bipartite incidence family: |P| = n^i, |Box| = i * n^(i-1).
 
@@ -279,7 +282,7 @@ def point_box_incidence(n: int, i: int) -> tuple[Graph, ConstructionLabels]:
         raise GraphError("point_box_incidence needs n >= 1")
     if not 1 <= i <= n:
         raise GraphError(f"level must satisfy 1 <= i <= n, got {i}")
-    check_hni_size(n, i)
+    check_size("hni", n, i=i)
     # box rows as point masks in level-local ids: level 1 is one box over n
     # points; level j holds n shifted copies of level j-1 and then, per
     # level-(j-1) point, one box over that point's n copies
@@ -308,8 +311,9 @@ def point_box_incidence(n: int, i: int) -> tuple[Graph, ConstructionLabels]:
 
 def hypercube(n: int) -> tuple[Graph, ConstructionLabels]:
     """n-dimensional hypercube: bitstring vertices, edges at Hamming distance 1."""
-    if not 1 <= n <= HYPERCUBE_MAX_DIM:
-        raise GraphError(f"hypercube dimension must be 1..{HYPERCUBE_MAX_DIM}")
+    if n < 1:
+        raise GraphError("hypercube dimension must be >= 1")
+    check_size("hypercube", n)
     size = 1 << n
     rows = [0] * size
     for v in range(size):

@@ -123,11 +123,10 @@ class Graph:
     pair ``u < v``.
 
     Labels are per-vertex metadata (opaque strings) and never influence any
-    algorithm. Instances must not be mutated after construction;
-    ``refute_function`` memoizes its premises in ``_cache``.
+    algorithm. Instances must not be mutated after construction.
     """
 
-    __slots__ = ("n", "rows", "labels", "_cache")
+    __slots__ = ("n", "rows", "labels")
 
     def __init__(self, n: int, rows: Iterable[int], labels=None):
         if n < 0:
@@ -150,7 +149,6 @@ class Graph:
         self.n = n
         self.rows = rows
         self.labels = dict(labels) if labels else None
-        self._cache = {}
 
     @property
     def full_mask(self) -> int:

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Iterable
 
 from .graphs import Graph, GraphError, SizeLimitError, _columns, bit_ids, mask_of
@@ -850,6 +850,15 @@ class RefutationPair:
     w: int
 
 
+# the refute campaign asks the premises of two graphs a thousand times each;
+# a Graph hashes by identity, so the cache holds at most those two alive
+@lru_cache(maxsize=2)
+def _premises(g: Graph, p: int) -> tuple[bool, bool, int, int]:
+    """(triangle-free, K_{2,p}-free, min degree, max degree) of ``g``."""
+    degs = [r.bit_count() for r in g.rows] or [0]
+    return _triangle_free(g.rows), _k2p_free(g.rows, p), min(degs), max(degs)
+
+
 def refute_function(
     g: Graph, x: int, args: Iterable[int], k: int, p: int
 ) -> RefutationPair:
@@ -868,13 +877,7 @@ def refute_function(
         raise GraphError(f"expected |S| = {k}, got {len(s_ids)}")
     if p < 2:
         raise GraphError("refutation premises require p >= 2")
-    # the premises are kept per graph: the refute campaign asks them of two
-    # graphs a thousand times each
-    key = ("premises", p)
-    if key not in g._cache:
-        degs = [r.bit_count() for r in g.rows] or [0]
-        g._cache[key] = (_triangle_free(g.rows), _k2p_free(g.rows, p), min(degs), max(degs))
-    triangle_free, k2p_free, dmin, dmax = g._cache[key]
+    triangle_free, k2p_free, dmin, dmax = _premises(g, p)
     violations = []
     if not triangle_free:
         violations.append("graph contains a triangle")

@@ -88,6 +88,41 @@ def test_config_is_frozen():
     assert cfg == CampaignConfig()
 
 
+def test_config_holds_its_sizes_as_a_tuple():
+    # a list would stay open to changes that skip the checks
+    sizes = [2]
+    cfg = CampaignConfig(sizes=sizes)
+    sizes.append("a")
+    assert cfg.sizes == (2,) and not hasattr(cfg.sizes, "append")
+    assert hash(cfg) == hash(CampaignConfig(sizes=(2,)))
+    assert cfg.to_json()["sizes"] == [2]
+    assert CampaignConfig.from_json(cfg.to_json()) == cfg
+    assert verify_campaign("gk-sd", cfg).config["sizes"] == [2]
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"trials": 1 << 16}, None),
+        ({"sizes": [1] * (1 << 16)}, None),
+        ({"trials": (1 << 16) + 1}, "config has 65537 trials, more than the limit 65536"),
+        ({"trials": 10**8}, "config has 100000000 trials, more than the limit 65536"),
+        (
+            {"sizes": [1] * ((1 << 16) + 1)},
+            "config 'sizes' has 65537 entries, more than the limit 65536",
+        ),
+    ],
+)
+def test_config_caps_trials_and_sizes(fields, message):
+    # planning holds every instance's params before the first one runs
+    if message is None:
+        CampaignConfig(**fields)
+    else:
+        with pytest.raises(SizeLimitError) as exc:
+            CampaignConfig(**fields)
+        assert str(exc.value) == message
+
+
 def test_config_validates():
     with pytest.raises(ConfigError):
         CampaignConfig(trials=0)

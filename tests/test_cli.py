@@ -23,7 +23,7 @@ from funbox.campaigns import (
     verify_campaign,
 )
 from funbox.cli import build_parser, main
-from funbox.constructions import GEN_EDGE_COUNTS
+from funbox.constructions import FAMILY_SIZES
 from test_geometry import flip_first_pair
 
 
@@ -284,6 +284,10 @@ def _nested_file(tmp_path):
         lambda t: _sd_pair_argv(t, (1 << 16) + 1),
         lambda t: _sd_pair_argv(t, 10**12),
         lambda t: ["verify", "hni", "--sizes", "6"],
+        lambda t: ["gen", "hypercube", "--n", "17"],
+        lambda t: ["gen", "hni", "--n", "1000000", "--i", "1000000"],
+        lambda t: ["verify", "refute", "--trials", "100000000"],
+        lambda t: ["verify", "lemma-sd", "--sizes", ",".join(["5"] * ((1 << 16) + 1))],
         lambda t: ["realize", "abc-units"],
         lambda t: ["realize", "abc-intervals"],
         lambda t: ["realize", "pointbox-r3"],
@@ -326,6 +330,10 @@ def _nested_file(tmp_path):
         "graph-n-over-limit",
         "graph-n-far-over-limit",
         "hni-over-vertex-limit",
+        "gen-hypercube-over-size-limit",
+        "gen-hni-far-over-size-limit",
+        "trials-over-cap",
+        "sizes-over-cap",
         "realize-abc-units-without-input",
         "realize-abc-intervals-without-input",
         "realize-pointbox-r3-without-input",
@@ -367,7 +375,7 @@ def test_interval_campaign_edge_cap_names_the_interval_model(capsys, campaign):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.count("\n") == 1
-    assert captured.err.startswith("error: interval model with n=1449, k=0 has 1049076 edges")
+    assert captured.err.startswith("error: interval model with n=1449 has 1049076 edges")
 
 
 def test_realize_failing_its_self_check_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
@@ -676,13 +684,19 @@ def test_gen_bytes_are_pinned_and_stdout_equals_the_file(tmp_path, capsys, famil
 
 
 def test_gen_edge_guard_closed_forms_match_built_graphs():
-    assert set(GEN_EDGE_COUNTS) < set(_gen_families())
-    built = [("half", n, 0, fb.half_graph(n)[0]) for n in range(1, 9)]
-    built += [("abc", n, 0, fb.abc_graph(n, random_permutation(n, n))[0]) for n in range(1, 9)]
-    built += [("gk", 0, k, fb.g_k(k)[0]) for k in (2, 3, 4)]
-    built += [("gk-abc", 0, k, fb.extend_gk_to_abc(*fb.g_k(k))[0]) for k in (2, 3)]
-    for family, n, k, g in built:
-        assert GEN_EDGE_COUNTS[family](n, k) == g.edge_count(), (family, n, k)
+    assert set(_gen_families()) | {"interval model"} == set(FAMILY_SIZES)
+    built = [("half", (n,), fb.half_graph(n)[0]) for n in range(1, 9)]
+    built += [("abc", (n,), fb.abc_graph(n, random_permutation(n, n))[0]) for n in range(1, 9)]
+    built += [("gk", (k,), fb.g_k(k)[0]) for k in (2, 3, 4)]
+    built += [("gk-abc", (k,), fb.extend_gk_to_abc(*fb.g_k(k))[0]) for k in (2, 3)]
+    built += [
+        ("hni", (n, i), fb.point_box_incidence(n, i)[0])
+        for n in range(1, 5)
+        for i in range(1, n + 1)
+    ]
+    built += [("hypercube", (n,), fb.hypercube(n)[0]) for n in range(1, 7)]
+    for family, args, g in built:
+        assert FAMILY_SIZES[family][1](*args) == (g.n, g.edge_count()), (family, args)
 
 
 _REPORT = {
@@ -770,12 +784,13 @@ def test_process_python_m_funbox_pipes_the_cli_bytes():
 )
 def test_process_loads_no_process_pool(tmp_path, run):
     # a campaign run in one process, and the import itself, must not pay for
-    # concurrent.futures and multiprocessing
+    # concurrent.futures and multiprocessing, nor for logging while it is off
+    prefixes = ("concurrent", "logging", "multiprocessing")
     code = (
         "import sys, funbox, funbox.cli\n"
         f"out = {str(tmp_path / 'r.json')!r}\n"
         f"{run}\n"
-        "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
+        f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=_module_env(), capture_output=True, timeout=120

@@ -1,7 +1,10 @@
+import itertools
+import re
+
 import pytest
 
 import funbox as fb
-from funbox.constructions import abc_parts
+from funbox.constructions import FAMILY_SIZES, GEN_MAX_EDGES, abc_parts, check_size
 from funbox.graphs import GraphError, SizeLimitError
 
 
@@ -260,7 +263,82 @@ def test_hypercube_q4_satisfies_refutation_premises():
 
 
 def test_hypercube_guard():
-    with pytest.raises(GraphError):
+    with pytest.raises(SizeLimitError, match="hypercube with n=17 has 131072 vertices"):
         fb.hypercube(17)
     with pytest.raises(GraphError):
         fb.hypercube(0)
+
+
+# ---------------------------------------------------------------- size rule
+
+_REFUSAL = re.compile(
+    r"(half|abc|gk|gk-abc|hni|hypercube|interval model) with [nki]=\d+(, i=\d+)? has "
+    r"(at least )?(\d+|2\^\d+) (vertices|edges), more than the limit (65536|1048576)"
+)
+
+
+@pytest.mark.parametrize(
+    "family, largest, nxt",
+    [
+        ("half", {"n": 1448}, {"n": 1449}),
+        ("abc", {"n": 648}, {"n": 649}),
+        ("interval model", {"n": 1448}, {"n": 1449}),
+        ("gk", {"k": 5}, {"k": 6}),
+        ("gk-abc", {"k": 5}, {"k": 6}),
+        ("hni", {"n": 65535, "i": 1}, {"n": 65536, "i": 1}),
+        ("hni", {"n": 255, "i": 2}, {"n": 256, "i": 2}),
+        ("hni", {"n": 39, "i": 3}, {"n": 40, "i": 3}),
+        ("hni", {"n": 15, "i": 4}, {"n": 16, "i": 4}),
+        ("hni", {"n": 8, "i": 5}, {"n": 9, "i": 5}),
+        ("hypercube", {"n": 16}, {"n": 17}),
+    ],
+)
+def test_check_size_admits_the_largest_parameters_and_no_more(family, largest, nxt):
+    check_size(family, **largest)
+    with pytest.raises(SizeLimitError) as exc:
+        check_size(family, **nxt)
+    assert _REFUSAL.fullmatch(str(exc.value))
+
+
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        ("abc", {"n": 649}, "abc with n=649 has 1051380 edges"),
+        ("gk", {"n": 3, "k": 6, "i": 1}, "gk with k=6 has 1164240 edges"),
+        ("hni", {"n": 7, "i": 7}, "hni with n=7, i=7 has 1647086 vertices"),
+        ("hni", {"n": 2, "i": 70}, "hni with n=2, i=70 has at least 2^75 vertices"),
+        (
+            "hni",
+            {"n": 10**6, "i": 10**6},
+            "hni with n=1000000, i=1000000 has at least 1000000 vertices",
+        ),
+        ("hypercube", {"n": 65536}, "hypercube with n=65536 has at least 2^65536 vertices"),
+        ("half", {"n": 70000}, "half with n=70000 has at least 70000 vertices"),
+    ],
+)
+def test_check_size_names_the_family_its_parameters_and_the_count(family, params, message):
+    with pytest.raises(SizeLimitError) as exc:
+        check_size(family, **params)
+    assert str(exc.value).startswith(message + ", more than the limit ")
+    assert _REFUSAL.fullmatch(str(exc.value))
+
+
+@pytest.mark.parametrize("params", [{"n": 0, "i": 5}, {"n": 5, "i": 0}, {"n": -3, "i": 10**6}])
+def test_check_size_counts_a_parameter_below_1_as_empty(params):
+    # left to the generator, which raises its own GraphError
+    check_size("hni", **params)
+    with pytest.raises(GraphError):
+        fb.point_box_incidence(**params)
+
+
+def test_check_size_lower_bounds_hold_on_small_parameters():
+    # a parameter above the limit is refused as a lower bound on the vertices
+    for family, (names, sizes) in FAMILY_SIZES.items():
+        for args in itertools.product(range(1, 7), repeat=len(names)):
+            assert sizes(*args)[0] >= max(args), (family, args)
+
+
+def test_library_builders_are_not_capped():
+    # the edge limit bounds what gen writes, not what the library builds
+    g, _ = fb.g_k(6)
+    assert g.edge_count() == FAMILY_SIZES["gk"][1](6)[1] > GEN_MAX_EDGES
