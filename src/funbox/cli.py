@@ -90,10 +90,20 @@ def _load_json(path: str | None):
             raise GraphError(f"{path} is nested too deeply to read") from None
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse type of ``--sizes`` and ``--perm``: comma-separated integers."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _abc_perm(args):
     """abc's permutation: ``--perm``, else one drawn from ``--seed``, else None."""
-    if args.perm:
-        return tuple(int(x) for x in args.perm.split(","))
+    if args.perm is not None:
+        return args.perm
     return None if args.seed is None else random_permutation(args.n, args.seed)
 
 
@@ -166,7 +176,7 @@ def _cmd_verify(args) -> int:
     overrides = {
         "seed": args.seed,
         "trials": args.trials,
-        "sizes": [int(x) for x in args.sizes.split(",")] if args.sizes else None,
+        "sizes": args.sizes,
         "output": args.output,
         "format": args.format,
     }
@@ -211,7 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, default=3)
     gen.add_argument("--k", type=int, default=2)
     gen.add_argument("--i", type=int, default=1)
-    gen.add_argument("--perm", help="comma-separated permutation of 1..n (abc)")
+    gen.add_argument(
+        "--perm", type=_int_list, help="comma-separated permutation of 1..n (abc)"
+    )
     gen.add_argument("--seed", type=int, help="seed for a random abc permutation")
     gen.set_defaults(func=_cmd_gen)
 
@@ -244,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--config", help="campaign config JSON file")
     ver.add_argument("--seed", type=int)
     ver.add_argument("--trials", type=int)
-    ver.add_argument("--sizes", help="comma-separated size list")
+    ver.add_argument("--sizes", type=_int_list, help="comma-separated size list")
     ver.add_argument("--workers", type=int, default=1)
     ver.add_argument("--format", choices=["json", "markdown"])
     ver.set_defaults(func=_cmd_verify)

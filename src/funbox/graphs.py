@@ -24,7 +24,9 @@ class GraphError(ValueError):
 
 
 class SizeLimitError(RuntimeError):
-    """An exact search was asked to exceed its configured size guard."""
+    """An input or a request exceeds a size limit: an exact search's guard,
+    the entry cap of a file or config (``_json_count``), a built family's
+    size rule (``constructions.check_size``) or the witness arity cap."""
 
 
 # The largest vertex count a generator writes (``hypercube(16)`` and the

@@ -736,9 +736,10 @@ def recover_half_graph_orders(
 ) -> tuple[list[int], list[int]]:
     """Recover orders realizing x_i ~ y_j iff i < j on the X-Y edges.
 
-    Only edges between the two sets are considered. The neighborhood sizes
-    force the orders, so the result is unique; a non-realizable pattern
-    raises with a violating pair in the message.
+    Only edges between the two sets are considered. Sorting X by falling
+    and Y by rising degree into the other side fixes the orders; the row
+    rule, each x_i seeing exactly the y's after position i, then proves
+    them. A pattern the rule refuses raises with a violating pair.
     """
     x_ids = sorted(set(xs))
     y_ids = sorted(set(ys))
@@ -752,23 +753,15 @@ def recover_half_graph_orders(
     y_mask = mask_of(y_ids, g.n)
     if x_mask & y_mask:
         raise GraphError("half-graph sides must be disjoint")
-    x_deg = {x: (g.rows[x] & y_mask).bit_count() for x in x_ids}
-    y_deg = {y: (g.rows[y] & x_mask).bit_count() for y in y_ids}
-    if sorted(x_deg.values()) != list(range(m)):
-        err = _degree_collision(x_deg)
-        raise GraphError(
-            f"not a half graph: X-side neighborhood sizes must be "
-            f"{{0..{m - 1}}}, got {sorted(x_deg.values())}"
-            + (f"; vertices {err} share a degree" if err else "")
-        )
-    order_x = sorted(x_ids, key=lambda x: -x_deg[x])
-    order_y = sorted(y_ids, key=lambda y: y_deg[y])
+    rows = g.rows
+    order_x = sorted(x_ids, key=lambda x: -(rows[x] & y_mask).bit_count())
+    order_y = sorted(y_ids, key=lambda y: (rows[y] & x_mask).bit_count())
     # the i-th x must see exactly the y's after position i of order_y
     after = [0] * m
     for i in range(m - 1, 0, -1):
         after[i - 1] = after[i] | 1 << order_y[i]
     for i, x in enumerate(order_x):
-        if g.rows[x] & y_mask != after[i]:
+        if rows[x] & y_mask != after[i]:
             y = next(
                 y for j, y in enumerate(order_y) if g.has_edge(x, y) != (i < j)
             )
@@ -776,15 +769,6 @@ def recover_half_graph_orders(
                 f"not a half graph: pair ({x},{y}) violates the order rule"
             )
     return order_x, order_y
-
-
-def _degree_collision(deg: dict[int, int]):
-    seen = {}
-    for v, d in deg.items():
-        if d in seen:
-            return (seen[d], v)
-        seen[d] = v
-    return None
 
 
 @dataclass(frozen=True)

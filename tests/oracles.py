@@ -35,7 +35,6 @@ from funbox.intervals import PointRep, SdLemmaReport, manhattan
 from funbox.parameters import (
     Witness,
     _check_vertex,
-    _degree_collision,
     _emit,
     pair_witness,
     sd_pair,
@@ -330,20 +329,12 @@ def pairloop_recover_half_graph_orders(g: Graph, xs, ys):
             f"half-graph sides must be nonempty and equal-sized "
             f"(got {len(x_ids)} and {len(y_ids)})"
         )
-    m = len(x_ids)
     x_mask = mask_of(x_ids, g.n)
     y_mask = mask_of(y_ids, g.n)
     if x_mask & y_mask:
         raise GraphError("half-graph sides must be disjoint")
     x_deg = {x: (g.rows[x] & y_mask).bit_count() for x in x_ids}
     y_deg = {y: (g.rows[y] & x_mask).bit_count() for y in y_ids}
-    if sorted(x_deg.values()) != list(range(m)):
-        err = _degree_collision(x_deg)
-        raise GraphError(
-            f"not a half graph: X-side neighborhood sizes must be "
-            f"{{0..{m - 1}}}, got {sorted(x_deg.values())}"
-            + (f"; vertices {err} share a degree" if err else "")
-        )
     order_x = sorted(x_ids, key=lambda x: -x_deg[x])
     order_y = sorted(y_ids, key=lambda y: y_deg[y])
     for i, x in enumerate(order_x, start=1):

@@ -295,6 +295,9 @@ def _nested_file(tmp_path):
         lambda t: ["witness", "interval", "-i", _nested_file(t)],
         lambda t: ["verify", "hni", "--config", _nested_file(t)],
         lambda t: ["report", "--in", _nested_file(t)],
+        lambda t: ["verify", "gk-sd", "--sizes", ""],
+        lambda t: ["gen", "abc", "--n", "3", "--perm", ""],
+        lambda t: ["verify", "gk-sd", "--sizes", "2,,3"],
     ],
     ids=[
         "fun-graph-over-guard",
@@ -341,6 +344,9 @@ def _nested_file(tmp_path):
         "witness-nested-json",
         "config-nested-json",
         "report-nested-json",
+        "sizes-empty",
+        "perm-empty",
+        "sizes-empty-item",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, make_argv):
@@ -348,6 +354,24 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, make_argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "gk-sd", "--sizes", ""],
+        ["gen", "abc", "--n", "3", "--perm", ""],
+        ["verify", "gk-sd", "--sizes", "2,,3"],
+        ["gen", "abc", "--n", "3", "--perm", "1,x,3"],
+    ],
+    ids=["sizes-empty", "perm-empty", "sizes-empty-item", "perm-not-an-integer"],
+)
+def test_integer_list_flags_name_the_flag(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: argument {argv[-2]}: expected comma-separated")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("what", ["fun-graph", "sd-graph"])
@@ -390,6 +414,12 @@ def test_realize_failing_its_self_check_exits_1_with_one_line(tmp_path, capsys, 
 
 
 _ABC2 = fb.graph_to_json(fb.abc_graph(2)[0])  # A = {0, 1}, B = {2, 3}, C = {4, 5}
+_ORDER_RULE = r"not a half graph: pair \(\d+,\d+\) violates the order rule"
+
+
+def _without(edges, edge):
+    assert edge in edges
+    return [e for e in edges if e != edge]
 
 
 @pytest.mark.parametrize("kind", ["abc-units", "abc-intervals"])
@@ -400,8 +430,17 @@ _ABC2 = fb.graph_to_json(fb.abc_graph(2)[0])  # A = {0, 1}, B = {2, 3}, C = {4, 
         (fb.graph_to_json(fb.half_graph(2)[0]), "label 'X:1' is not A/B/C"),
         ({**_ABC2, "edges": _ABC2["edges"][1:]}, r"A is not a clique: \(0,1\) missing"),
         ({**_ABC2, "edges": _ABC2["edges"] + [[0, 4]]}, r"forbidden A-C edge \(0,4\)"),
+        ({**_ABC2, "edges": _without(_ABC2["edges"], [0, 3])}, _ORDER_RULE),
+        ({**_ABC2, "edges": _without(_ABC2["edges"], [2, 5])}, _ORDER_RULE),
     ],
-    ids=["no-labels", "labels-not-abc", "part-not-a-clique", "a-c-edge"],
+    ids=[
+        "no-labels",
+        "labels-not-abc",
+        "part-not-a-clique",
+        "a-c-edge",
+        "a-b-half-graph-broken",
+        "b-c-half-graph-broken",
+    ],
 )
 def test_realize_abc_refuses_a_graph_that_is_not_abc(tmp_path, capsys, kind, payload, message):
     code = main(["realize", kind, "-i", _json_file(tmp_path, "g.json", payload)])

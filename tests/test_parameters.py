@@ -1,4 +1,6 @@
 import itertools
+import math
+import re
 
 import pytest
 
@@ -438,6 +440,42 @@ def test_recover_half_graph_rejects_overlapping_sides():
     g = fb.from_edge_list(3, [])
     with pytest.raises(GraphError, match="must be disjoint"):
         fb.recover_half_graph_orders(g, [0, 1], [1, 2])
+
+
+_ORDER_RULE = re.compile(r"not a half graph: pair \((\d+),(\d+)\) violates the order rule")
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_recover_half_graph_is_exact_on_every_small_pattern(m):
+    """All 2^(m*m) X-Y patterns: accepted iff some pair of orders realizes
+    x_i ~ y_j iff i < j (brute force), and each refusal names a pair that
+    breaks that rule under the degree orders."""
+    xs, ys = list(range(m)), list(range(m, 2 * m))
+    pairs = [(x, y) for x in xs for y in ys]
+    realizable = {
+        frozenset((x, y) for i, x in enumerate(ox) for j, y in enumerate(oy) if i < j)
+        for ox in itertools.permutations(xs)
+        for oy in itertools.permutations(ys)
+    }
+    assert len(realizable) == math.factorial(m) ** 2
+    accepted = 0
+    for bits in range(1 << len(pairs)):
+        edges = frozenset(p for k, p in enumerate(pairs) if bits >> k & 1)
+        g = fb.from_edge_list(2 * m, edges)
+        if edges in realizable:
+            ox, oy = fb.recover_half_graph_orders(g, xs, ys)
+            assert {(x, y) for i, x in enumerate(ox) for y in oy[i + 1:]} == edges
+            accepted += 1
+            continue
+        with pytest.raises(GraphError) as exc:
+            fb.recover_half_graph_orders(g, xs, ys)
+        found = _ORDER_RULE.fullmatch(str(exc.value))
+        assert found, str(exc.value)
+        x, y = int(found[1]), int(found[2])
+        ox = sorted(xs, key=lambda u: -sum((u, v) in edges for v in ys))
+        oy = sorted(ys, key=lambda v: sum((u, v) in edges for u in xs))
+        assert ((x, y) in edges) != (ox.index(x) < oy.index(y))
+    assert accepted == len(realizable)
 
 
 def test_check_abc_partition_trivial():
