@@ -11,7 +11,8 @@ A campaign is one entry of ``CAMPAIGNS``, a ``Campaign(plan, run)`` record:
 on the config and on draws from ``rng`` (seeded with ``cfg.seed``);
 ``run(params)`` checks one instance and returns ``(outputs, ok)``. Params
 must be plain JSON data, since they are pickled to worker processes and
-copied into the report.
+copied into the report. A plan reads ``cfg.sizes`` only through ``_pool``,
+which holds the one size rule.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Callable
 
 from . import __version__
 from .constructions import (
+    FAMILY_SIZES,
     abc_graph,
     check_size,
     g_k,
@@ -60,9 +62,6 @@ from .parameters import (
 )
 from .rng import SplitMix64
 
-class ConfigError(ValueError):
-    """Bad campaign name or configuration."""
-
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -80,24 +79,21 @@ class CampaignConfig:
     def __post_init__(self):
         # sizes and trials are capped like a file's entries, since planning
         # holds every instance's params before any instance runs
-        try:
-            if self.sizes is not None:
-                for s in _json_list(self.sizes, "config 'sizes'", capped=True):
-                    _json_int(s, "config size")
-            if self.trials is not None:
-                _json_count(_json_int(self.trials, "config 'trials'"), "config", "trials")
-            for name in ("seed", "fun_max_n", "sd_max_n"):
-                _json_int(getattr(self, name), f"config {name!r}")
-        except GraphError as exc:
-            raise ConfigError(str(exc)) from None
+        if self.sizes is not None:
+            for s in _json_list(self.sizes, "config 'sizes'", capped=True):
+                _json_int(s, "config size")
+        if self.trials is not None:
+            _json_count(_json_int(self.trials, "config 'trials'"), "config", "trials")
+        for name in ("seed", "fun_max_n", "sd_max_n"):
+            _json_int(getattr(self, name), f"config {name!r}")
         if not isinstance(self.output, (str, type(None))):
-            raise ConfigError(f"config 'output' must be a string, got {self.output!r}")
+            raise GraphError(f"config 'output' must be a string, got {self.output!r}")
         if self.trials is not None and self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+            raise GraphError("trials must be >= 1")
         if self.sizes is not None and not self.sizes:
-            raise ConfigError("sizes must not be empty; omit it for the defaults")
+            raise GraphError("sizes must not be empty; omit it for the defaults")
         if self.format not in ("json", "markdown"):
-            raise ConfigError(f"unknown report format {self.format!r}")
+            raise GraphError(f"unknown report format {self.format!r}")
         if self.sizes is not None:
             object.__setattr__(self, "sizes", tuple(self.sizes))
 
@@ -105,16 +101,13 @@ class CampaignConfig:
     def from_json(cls, data: dict) -> "CampaignConfig":
         """The config a JSON document describes. Its keys are those that
         ``to_json`` writes, and the constructor checks their values."""
-        try:
-            data = _json_object(data, "campaign config")
-            limits = _json_object(data.get("limits", {}), "config 'limits'")
-        except GraphError as exc:
-            raise ConfigError(str(exc)) from None
+        data = _json_object(data, "campaign config")
+        limits = _json_object(data.get("limits", {}), "config 'limits'")
         keys = cls().to_json()
         unknown = [k for k in data if k not in keys]
         unknown += [f"limits.{k}" for k in limits if k not in keys["limits"]]
         if unknown:
-            raise ConfigError(f"unknown campaign config key {unknown[0]!r}")
+            raise GraphError(f"unknown campaign config key {unknown[0]!r}")
         return cls(**{k: v for k, v in data.items() if k != "limits"}, **limits)
 
     def to_json(self) -> dict:
@@ -204,9 +197,9 @@ def render_markdown(report: dict) -> str:
 def random_interval_rep(n: int, seed: int, coord_range: int) -> IntervalRep:
     """n random closed intervals with endpoints in [1, coord_range]."""
     if n < 1:
-        raise ConfigError("need n >= 1 intervals")
+        raise GraphError("need n >= 1 intervals")
     if coord_range < 2:
-        raise ConfigError("coordinate range must be >= 2")
+        raise GraphError("coordinate range must be >= 2")
     rng = SplitMix64(seed)
     intervals = []
     for _ in range(n):
@@ -219,9 +212,9 @@ def random_interval_rep(n: int, seed: int, coord_range: int) -> IntervalRep:
 def random_graph(n: int, p_num: int, p_den: int, seed: int) -> Graph:
     """Seeded Bernoulli graph: each pair is an edge with probability p_num/p_den."""
     if n < 1:
-        raise ConfigError("need n >= 1 vertices")
+        raise GraphError("need n >= 1 vertices")
     if p_den < 1 or not 0 <= p_num <= p_den:
-        raise ConfigError("edge probability must be in [0, 1]")
+        raise GraphError("edge probability must be in [0, 1]")
     rng = SplitMix64(seed)
     rows = [0] * n
     for u in range(n):
@@ -402,25 +395,32 @@ def _instance_threshold_fun0(params: dict) -> tuple[dict, bool]:
 # instance plans (deterministic given the config) and the campaign table
 # ---------------------------------------------------------------------------
 
+def _pool(cfg: CampaignConfig, sizes, family=None, least=1):
+    """``cfg.sizes or sizes``, refused if a size is below ``least`` or if
+    ``family``'s largest instance, every parameter at the top size, fails
+    ``check_size``."""
+    pool = cfg.sizes or sizes
+    if min(pool) < least:
+        raise GraphError(f"sizes must be >= {least}, got {min(pool)}")
+    if family:
+        check_size(family, **dict.fromkeys(FAMILY_SIZES[family][0], max(pool)))
+    return pool
+
+
 def _sampled(
     trials, sizes, *, coord_range=None, edge_p=False, fun_limited=False, family=None
 ):
-    """Plan of ``cfg.trials or trials`` instances, each drawing n from
-    ``cfg.sizes or sizes``, then (``edge_p``) an edge probability p_num/4,
-    then a seed; ``fun_limited`` caps the size pool at ``cfg.fun_max_n``,
-    and ``family`` names the model whose size at n bounds what an instance
-    can build (see ``check_size``)."""
+    """Plan of ``cfg.trials or trials`` instances, each drawing n from the
+    ``_pool`` of ``sizes`` and ``family``, then (``edge_p``) an edge
+    probability p_num/4, then a seed; ``fun_limited`` caps the pool at
+    ``cfg.fun_max_n``."""
 
     def plan(rng: SplitMix64, cfg: CampaignConfig) -> list[dict]:
-        pool = cfg.sizes or sizes
-        if min(pool) < 1:
-            raise ConfigError(f"sizes must be >= 1, got {min(pool)}")
+        pool = _pool(cfg, sizes, family)
         if fun_limited and max(pool) > cfg.fun_max_n:
-            raise ConfigError(
+            raise GraphError(
                 f"sizes up to {max(pool)} exceed the fun_max_n limit {cfg.fun_max_n}"
             )
-        if family:
-            check_size(family, max(pool))
         plans = []
         for _ in range(cfg.trials or trials):
             params = {"n": pool[rng.below(len(pool))]}
@@ -436,16 +436,12 @@ def _sampled(
 
 
 def _plan_gk_sd(rng: SplitMix64, cfg: CampaignConfig) -> list[dict]:
-    sizes = cfg.sizes or [2, 3, 4]
-    if min(sizes) < 2:
-        raise ConfigError(f"gk-sd needs every k >= 2, got {min(sizes)}")
-    check_size("gk", k=max(sizes))
+    sizes = _pool(cfg, (2, 3, 4), "gk", least=2)
     return [{"k": k, "check_coordinates": k <= 3} for k in sizes]
 
 
 def _plan_hni(rng: SplitMix64, cfg: CampaignConfig) -> list[dict]:
-    top = max(cfg.sizes or [4])
-    check_size("hni", top, i=top)  # (top, top) is the largest instance
+    top = max(_pool(cfg, (4,), "hni"))
     return [{"n": n, "i": i} for n in range(1, top + 1) for i in range(1, n + 1)]
 
 
@@ -514,12 +510,12 @@ def verify_campaign(
     """
     cfg = cfg or CampaignConfig()
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
+        raise GraphError(f"workers must be an integer >= 1, got {workers!r}")
     if name not in CAMPAIGNS:
-        raise ConfigError(f"unknown campaign {name!r}; choose from {CAMPAIGN_NAMES}")
+        raise GraphError(f"unknown campaign {name!r}; choose from {CAMPAIGN_NAMES}")
     plans = CAMPAIGNS[name].plan(SplitMix64(cfg.seed), cfg)
     if not plans:
-        raise ConfigError(f"campaign {name!r} has no instances under this config")
+        raise GraphError(f"campaign {name!r} has no instances under this config")
     tasks = [(name, idx, params) for idx, params in enumerate(plans)]
     procs = min(workers, len(tasks), os.cpu_count() or 1)
     if procs > 1:

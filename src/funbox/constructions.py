@@ -242,10 +242,16 @@ def extend_gk_to_abc(
     The C side is extended along the B-order grouped by b_y (k-1 new
     vertices between consecutive originals, neighborhoods nested and growing
     one B-vertex per step); the A side mirrors this along the b_x order.
-    The original graph re-appears as the induced subgraph on the embedded ids.
+    The original graph re-appears as the induced subgraph on the embedded ids;
+    a ``g`` whose vertex count is not that of ``meta``'s parts is refused.
     """
     if meta.family != "gk":
         raise GraphError("extend_gk_to_abc needs g_k labels")
+    parts = sum(len(meta.parts[p]) for p in "ABC")
+    if g.n != parts:
+        raise GraphError(
+            f"extend_gk_to_abc got a graph on {g.n} vertices for labels on {parts}"
+        )
     k = meta.params["k"]
     big = k ** 4
     old_b = meta.parts["B"]

@@ -4,8 +4,11 @@ Vertices are dense 0-based ids. Each adjacency row is a Python int used as a
 bit vector: bit ``v`` of ``rows[u]`` is 1 iff ``u`` and ``v`` are adjacent.
 All algorithms in the package work on these rows with bitwise kernels, and
 one transpose, ``_columns``, serves every kernel that needs a matrix's
-columns: ``Graph`` validation, ``induced_subgraph``, the hitting-set system
-and the point-box builders.
+columns: ``induced_subgraph``, the hitting-set system and the point-box
+builders. ``Graph`` validation checks symmetry in ``_rows_symmetric``,
+which compares the rows' text with its transpose or walks the set bits; it
+calls ``_columns`` only on dense rows above ``_TEXT_MAX_N`` vertices, and
+``Graph`` calls it only to name an asymmetric pair.
 
 Every file reader checks its JSON with the shape helpers defined here:
 ``_json_object``, ``_json_list``, ``_json_pairs``, ``_json_int`` and
@@ -20,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
-    """Invalid graph construction, query, or structured input."""
+    """Any bad input: a graph, a file, a campaign config or a request."""
 
 
 class SizeLimitError(RuntimeError):

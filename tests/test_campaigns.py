@@ -11,12 +11,11 @@ from funbox import campaigns
 from funbox.campaigns import (
     CAMPAIGN_NAMES,
     CampaignConfig,
-    ConfigError,
     render_markdown,
     verify_campaign,
 )
 from funbox.geometry import RealizationError
-from funbox.graphs import SizeLimitError
+from funbox.graphs import GraphError, SizeLimitError
 from funbox.rng import SplitMix64
 
 
@@ -46,9 +45,9 @@ def test_random_interval_rep_deterministic():
 
 
 def test_random_interval_rep_validates():
-    with pytest.raises(ConfigError):
+    with pytest.raises(GraphError):
         fb.random_interval_rep(0, 1, 10)
-    with pytest.raises(ConfigError):
+    with pytest.raises(GraphError):
         fb.random_interval_rep(3, 1, 1)
 
 
@@ -61,12 +60,12 @@ def test_random_graph_extremes():
 
 
 def test_random_graph_validates_probability():
-    with pytest.raises(ConfigError):
+    with pytest.raises(GraphError):
         fb.random_graph(5, 3, 2, 1)
 
 
 def test_random_graph_needs_a_vertex():
-    with pytest.raises(ConfigError, match="n >= 1"):
+    with pytest.raises(GraphError, match="n >= 1"):
         fb.random_graph(0, 1, 2, 1)
 
 
@@ -124,9 +123,9 @@ def test_config_caps_trials_and_sizes(fields, message):
 
 
 def test_config_validates():
-    with pytest.raises(ConfigError):
+    with pytest.raises(GraphError):
         CampaignConfig(trials=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(GraphError):
         CampaignConfig(format="yaml")
 
 
@@ -142,24 +141,46 @@ def test_config_validates():
     ],
 )
 def test_config_built_in_python_is_checked(fields, message):
-    with pytest.raises(ConfigError) as exc:
+    with pytest.raises(GraphError) as exc:
         verify_campaign("threshold-fun0", CampaignConfig(**fields))
     assert str(exc.value) == message
 
 
 def test_unknown_campaign():
-    with pytest.raises(ConfigError):
+    with pytest.raises(GraphError):
         verify_campaign("nope", CampaignConfig())
 
 
 def test_sizes_beyond_limits_rejected():
-    with pytest.raises(ConfigError, match="fun_max_n"):
+    with pytest.raises(GraphError, match="fun_max_n"):
         verify_campaign("threshold-fun0", CampaignConfig(sizes=[13], trials=1))
 
 
-def test_empty_plan_rejected():
-    with pytest.raises(ConfigError, match="no instances"):
-        verify_campaign("hni", CampaignConfig(sizes=[0]))
+def test_empty_plan_rejected(monkeypatch):
+    # no config reaches an empty plan, but a campaign without instances must
+    # not pass vacuously
+    real = campaigns.CAMPAIGNS["hni"]
+    monkeypatch.setitem(campaigns.CAMPAIGNS, "hni", replace(real, plan=lambda rng, cfg: []))
+    with pytest.raises(GraphError, match="no instances"):
+        verify_campaign("hni", CampaignConfig())
+
+
+@pytest.mark.parametrize("name", [n for n in CAMPAIGN_NAMES if n != "refute"])
+def test_a_size_below_the_least_is_refused_before_any_instance(monkeypatch, name):
+    least = 2 if name == "gk-sd" else 1
+
+    def never(params):
+        raise AssertionError("an instance ran")
+
+    monkeypatch.setitem(campaigns.CAMPAIGNS, name, replace(campaigns.CAMPAIGNS[name], run=never))
+    with pytest.raises(GraphError) as exc:
+        verify_campaign(name, CampaignConfig(sizes=(least - 1, 5)))
+    assert str(exc.value) == f"sizes must be >= {least}, got {least - 1}"
+
+
+def test_refute_ignores_sizes():
+    report = verify_campaign("refute", CampaignConfig(sizes=(0,), trials=1))
+    assert report.ok and len(report.instances) == 2
 
 
 @pytest.mark.parametrize("exc_type", [SizeLimitError, RealizationError, AssertionError])

@@ -17,13 +17,13 @@ from funbox.campaigns import (
     CAMPAIGN_NAMES,
     CAMPAIGNS,
     CampaignConfig,
-    ConfigError,
     random_permutation,
     render_markdown,
     verify_campaign,
 )
 from funbox.cli import build_parser, main
 from funbox.constructions import FAMILY_SIZES
+from funbox.graphs import GraphError
 from test_geometry import flip_first_pair
 
 
@@ -242,6 +242,10 @@ def _labeled_graph(key, label):
     return {"n": 2, "edges": [[0, 1]], "labels": {str(key): label}}
 
 
+# the campaigns that read sizes and refuse one below 1 (gk-sd refuses one below 2)
+_SIZED_CAMPAIGNS = [name for name in CAMPAIGN_NAMES if name not in ("gk-sd", "refute")]
+
+
 def _nested_file(tmp_path):
     path = tmp_path / "nested.json"
     path.write_text("[" * 200_000)
@@ -298,6 +302,11 @@ def _nested_file(tmp_path):
         lambda t: ["verify", "gk-sd", "--sizes", ""],
         lambda t: ["gen", "abc", "--n", "3", "--perm", ""],
         lambda t: ["verify", "gk-sd", "--sizes", "2,,3"],
+        *(
+            lambda t, name=name: ["verify", name, "--sizes", "0,5"]
+            for name in _SIZED_CAMPAIGNS
+        ),
+        lambda t: ["verify", "gk-sd", "--sizes", "1,3"],
     ],
     ids=[
         "fun-graph-over-guard",
@@ -347,6 +356,8 @@ def _nested_file(tmp_path):
         "sizes-empty",
         "perm-empty",
         "sizes-empty-item",
+        *(f"{name}-size-0" for name in _SIZED_CAMPAIGNS),
+        "gk-sd-size-1",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, make_argv):
@@ -529,7 +540,7 @@ def test_malformed_config_json_is_2(tmp_path, capsys, payload):
 
 @pytest.mark.parametrize("payload", _MALFORMED_CONFIGS + [{"sizes": 0}, [1, 2]])
 def test_config_from_json_raises_config_error(payload):
-    with pytest.raises(ConfigError):
+    with pytest.raises(GraphError):
         CampaignConfig.from_json(payload)
 
 
@@ -537,10 +548,10 @@ def test_config_from_json_raises_config_error(payload):
     "payload", [p for p in _MALFORMED_CONFIGS if isinstance(p.get("limits", {}), dict)]
 )
 def test_config_constructor_checks_what_a_file_is_checked_for(payload):
-    with pytest.raises(ConfigError) as from_file:
+    with pytest.raises(GraphError) as from_file:
         CampaignConfig.from_json(payload)
     kwargs = {k: v for k, v in payload.items() if k != "limits"} | payload.get("limits", {})
-    with pytest.raises(ConfigError) as from_python:
+    with pytest.raises(GraphError) as from_python:
         CampaignConfig(**kwargs)
     assert str(from_python.value) == str(from_file.value)
 
@@ -673,6 +684,27 @@ def test_readme_cli_block_lists_every_choice():
         ("realize", "kind"),
         ("verify", "campaign"),
     }
+
+
+def test_readme_cli_block_lists_every_option():
+    """Every option of every subcommand appears, in one of its spellings, on
+    that subcommand's lines of the README's CLI block: its `funbox COMMAND`
+    lines and their indented continuations."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    usage = re.search(r"^## CLI\n+```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    synopsis = {}
+    for line in usage.splitlines():
+        if line.startswith("funbox "):
+            command = line.split()[1]
+        synopsis[command] = synopsis.get(command, "") + line + "\n"
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in commands.choices.items():
+        written = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", synopsis[command]))
+        for action in sub._actions:
+            spellings = set(action.option_strings) - {"-h", "--help"}
+            if spellings:
+                assert spellings & written, (command, action.option_strings)
 
 
 # family -> (gen arguments, the generator call they make)

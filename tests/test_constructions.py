@@ -171,6 +171,10 @@ def test_extend_requires_gk_labels():
     g, meta = fb.abc_graph(2)
     with pytest.raises(GraphError):
         fb.extend_gk_to_abc(g, meta)
+    # labels of another g_k: the induced subgraph on the embedded ids could not be g
+    with pytest.raises(GraphError) as exc:
+        fb.extend_gk_to_abc(fb.g_k(3)[0], fb.g_k(2)[1])
+    assert str(exc.value) == "extend_gk_to_abc got a graph on 135 vertices for labels on 32"
 
 
 # ---------------------------------------------------------------- point-box incidence
