@@ -80,22 +80,20 @@ class CampaignConfig:
         # sizes and trials are capped like a file's entries, since planning
         # holds every instance's params before any instance runs
         if self.sizes is not None:
-            for s in _json_list(self.sizes, "config 'sizes'", capped=True):
-                _json_int(s, "config size")
+            if not _json_list(self.sizes, "config 'sizes'", capped=True):
+                raise GraphError("sizes must not be empty; omit it for the defaults")
+            sizes = tuple(_json_int(s, "config size") for s in self.sizes)
+            object.__setattr__(self, "sizes", sizes)
         if self.trials is not None:
             _json_count(_json_int(self.trials, "config 'trials'"), "config", "trials")
+            if self.trials < 1:
+                raise GraphError("trials must be >= 1")
         for name in ("seed", "fun_max_n", "sd_max_n"):
             _json_int(getattr(self, name), f"config {name!r}")
         if not isinstance(self.output, (str, type(None))):
             raise GraphError(f"config 'output' must be a string, got {self.output!r}")
-        if self.trials is not None and self.trials < 1:
-            raise GraphError("trials must be >= 1")
-        if self.sizes is not None and not self.sizes:
-            raise GraphError("sizes must not be empty; omit it for the defaults")
         if self.format not in ("json", "markdown"):
             raise GraphError(f"unknown report format {self.format!r}")
-        if self.sizes is not None:
-            object.__setattr__(self, "sizes", tuple(self.sizes))
 
     @classmethod
     def from_json(cls, data: dict) -> "CampaignConfig":
@@ -286,21 +284,21 @@ def _instance_gk_sd(params: dict) -> tuple[dict, bool]:
 
 def _instance_hni(params: dict) -> tuple[dict, bool]:
     n, i = params["n"], params["i"]
-    g, meta = point_box_incidence(n, i)
-    p_ids, box_ids = meta.parts["P"], meta.parts["Box"]
+    # both realizers raise RealizationError unless their boxes rebuild H^n_i
+    pts, bs, report = realize_pointbox_plane(n, i)
+    embed_pointbox_r3(pts, bs)
+    g = report.target_graph  # point ids first, then box ids
+    p_ids, box_ids = range(len(pts)), range(len(pts), g.n)
     checks = {
         "p_count": len(p_ids) == n ** i,
         "box_count": len(box_ids) == i * n ** (i - 1),
         "box_degree": all(g.degree(v) == n for v in box_ids),
         "point_degree": all(g.degree(v) == i for v in p_ids),
+        "k22_free": _k2p_free(g.rows, 2),
+        "triangle_free": _triangle_free(g.rows),
+        "plane_equal": report.equal,
+        "r3_equal": True,
     }
-    checks["k22_free"] = _k2p_free(g.rows, 2)
-    checks["triangle_free"] = _triangle_free(g.rows)
-    # both realizers raise RealizationError unless their boxes rebuild g
-    pts, bs, report = realize_pointbox_plane(n, i)
-    checks["plane_equal"] = report.equal
-    embed_pointbox_r3(pts, bs)
-    checks["r3_equal"] = True
     return checks, all(checks.values())
 
 

@@ -242,8 +242,8 @@ def extend_gk_to_abc(
     The C side is extended along the B-order grouped by b_y (k-1 new
     vertices between consecutive originals, neighborhoods nested and growing
     one B-vertex per step); the A side mirrors this along the b_x order.
-    The original graph re-appears as the induced subgraph on the embedded ids;
-    a ``g`` whose vertex count is not that of ``meta``'s parts is refused.
+    The original graph re-appears as the induced subgraph on the embedded ids.
+    Precondition: ``(g, meta)`` is ``g_k(meta.params["k"])``; others are refused.
     """
     if meta.family != "gk":
         raise GraphError("extend_gk_to_abc needs g_k labels")
@@ -253,6 +253,11 @@ def extend_gk_to_abc(
             f"extend_gk_to_abc got a graph on {g.n} vertices for labels on {parts}"
         )
     k = meta.params["k"]
+    if g.n != 2 * k**3 + k**4:  # bounds the rebuild below by g's own size
+        raise GraphError(f"extend_gk_to_abc got {g.n} vertices for g_k({k})")
+    ref, ref_meta = g_k(k)
+    if g.rows != ref.rows or meta != ref_meta:
+        raise GraphError(f"extend_gk_to_abc needs the graph and labels of g_k({k}) unchanged")
     big = k ** 4
     old_b = meta.parts["B"]
     by_x = sorted(old_b, key=lambda v: (meta.vertex_data[v]["bx"], v))

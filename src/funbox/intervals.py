@@ -25,7 +25,7 @@ from itertools import accumulate
 from operator import or_
 
 from .graphs import Graph, GraphError, _json_int, _json_object, _json_pairs
-from .parameters import Witness, _emit, pair_witness
+from .parameters import Witness, _emit, _low_bits_table, pair_witness
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,8 @@ def find_low_fun_witness(rep: PointRep) -> Witness:
     point y above it in its vertical stripe and nearest point z to its left
     in its horizontal stripe: x's adjacency is the conjunction of y's and
     z's bits, with the intervals owning an endpoint strictly between the
-    columns of x,y or the rows of x,z as inessential extras.
+    columns of x,y or the rows of x,z as inessential extras. Case 2's table,
+    the AND of its first two arguments, comes from ``_low_bits_table``.
     """
     pts = rep.points
     n = rep.n
@@ -251,8 +252,4 @@ def find_low_fun_witness(rep: PointRep) -> Witness:
         )
     ]
     args = (y, z, *sorted(extras))
-    k = len(args)
-    # prediction: adjacent to x iff adjacent to both y and z (bits 0 and 1),
-    # so bit m is set for m = 3 mod 4: bit 3 of every 4-bit group
-    table = ((1 << (1 << k)) - 1) // 15 * 8
-    return _emit(g, Witness(x, args, table, "stripe-case2"))
+    return _emit(g, Witness(x, args, _low_bits_table(len(args), 2, 0b1000), "stripe-case2"))

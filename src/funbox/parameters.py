@@ -194,6 +194,14 @@ def _check_arity(k: int) -> None:
         )
 
 
+def _low_bits_table(k: int, j: int, truth: int) -> int:
+    """The table of a k-argument witness that reads its first j arguments
+    alone: bit m is bit m mod 2^j of ``truth``. Every pair witness table and
+    the stripe conjunction of ``find_low_fun_witness`` come from here."""
+    _check_arity(k)
+    return ((1 << (1 << k)) - 1) // ((1 << (1 << j)) - 1) * truth
+
+
 def _check_vertex(g: Graph, v: int, name: str = "vertex") -> None:
     if not 0 <= v < g.n:
         raise GraphError(f"{name} {v} out of range 0..{g.n - 1}")
@@ -608,18 +616,13 @@ def fun_graph(g: Graph, max_n: int | None = None) -> int:
 # pair witnesses (distinguisher / non-distinguisher constructions)
 # ---------------------------------------------------------------------------
 
-def _identity_table(k: int) -> int:
-    # 0b...1010: bit m set iff m is odd (prediction = bit of args[0])
-    return ((1 << (1 << k)) - 1) // 3 * 2
-
-
 def pair_witness(g: Graph, x: int, y: int, mode: str) -> Witness:
     """Witness that x is a function of y plus the (non)distinguishing set.
 
     mode="distinguishers": args are y plus every vertex adjacent to exactly
-    one of x, y; table is the identity on y's bit. mode="nondistinguishers":
-    args are y plus every vertex adjacent to both or neither; table is the
-    negation of y's bit.
+    one of x, y, and x copies y's bit (table 0b10). mode="nondistinguishers":
+    args are y plus every vertex adjacent to both or neither, and x negates
+    y's bit (0b01). ``_low_bits_table`` repeats either over the other args.
     """
     _check_vertex(g, x, "x")
     _check_vertex(g, y, "y")
@@ -628,18 +631,13 @@ def pair_witness(g: Graph, x: int, y: int, mode: str) -> Witness:
     rest = g.full_mask & ~(1 << x) & ~(1 << y)
     diff = (g.rows[x] ^ g.rows[y]) & rest
     if mode == "distinguishers":
-        zmask = diff
+        zmask, truth = diff, 0b10
     elif mode == "nondistinguishers":
-        zmask = rest & ~diff
+        zmask, truth = rest & ~diff, 0b01
     else:
         raise GraphError(f"unknown pair_witness mode: {mode!r}")
-    args = [y] + list(bit_ids(zmask))
-    k = len(args)
-    _check_arity(k)
-    table = _identity_table(k)
-    if mode == "nondistinguishers":
-        table = ~table & ((1 << (1 << k)) - 1)
-    return _emit(g, Witness(x, tuple(args), table, "pair-" + mode))
+    args = (y, *bit_ids(zmask))
+    return _emit(g, Witness(x, args, _low_bits_table(len(args), 1, truth), "pair-" + mode))
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,14 @@ def naive_is_threshold(g: Graph) -> bool:
     return True
 
 
+def naive_triangle_free(g: Graph) -> bool:
+    """No three vertices are pairwise adjacent, triple by triple."""
+    return not any(
+        adjacent(g, u, v) and adjacent(g, u, w) and adjacent(g, v, w)
+        for u, v, w in itertools.combinations(range(g.n), 3)
+    )
+
+
 # ---------------------------------------------------------------------------
 # intersection graphs by pairwise comparison (closed sides: touching meets)
 # ---------------------------------------------------------------------------

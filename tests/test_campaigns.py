@@ -7,7 +7,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import pytest
 
 import funbox as fb
-from funbox import campaigns
+from funbox import campaigns, geometry
 from funbox.campaigns import (
     CAMPAIGN_NAMES,
     CampaignConfig,
@@ -181,6 +181,23 @@ def test_a_size_below_the_least_is_refused_before_any_instance(monkeypatch, name
 def test_refute_ignores_sizes():
     report = verify_campaign("refute", CampaignConfig(sizes=(0,), trials=1))
     assert report.ok and len(report.instances) == 2
+
+
+def test_hni_instance_builds_its_graph_once(monkeypatch):
+    calls = []
+    real = campaigns.point_box_incidence
+
+    def counted(n, i):
+        calls.append((n, i))
+        return real(n, i)
+
+    # the instance and the plane realizer each import the generator by name
+    monkeypatch.setattr(campaigns, "point_box_incidence", counted)
+    monkeypatch.setattr(geometry, "point_box_incidence", counted)
+    for n, i in [(1, 1), (3, 2), (4, 4)]:
+        calls.clear()
+        out, ok = campaigns._instance_hni({"n": n, "i": i})
+        assert ok and len(out) == 8 and calls == [(n, i)]
 
 
 @pytest.mark.parametrize("exc_type", [SizeLimitError, RealizationError, AssertionError])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 
@@ -175,6 +176,39 @@ def test_extend_requires_gk_labels():
     with pytest.raises(GraphError) as exc:
         fb.extend_gk_to_abc(fb.g_k(3)[0], fb.g_k(2)[1])
     assert str(exc.value) == "extend_gk_to_abc got a graph on 135 vertices for labels on 32"
+
+
+def _toggled(g, u, v):
+    rows = list(g.rows)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    return fb.Graph(g.n, rows, g.labels)
+
+
+def _moved_bx(meta):
+    b = meta.parts["B"][0]
+    data = {**meta.vertex_data, b: {**meta.vertex_data[b], "bx": 99}}
+    return dataclasses.replace(meta, vertex_data=data)
+
+
+@pytest.mark.parametrize(
+    "pair,message",
+    [
+        # Q_5 has G_2's 32 vertices but not its edges
+        (lambda: (fb.hypercube(5)[0], fb.g_k(2)[1]), "the graph and labels of g_k(2)"),
+        (lambda: (_toggled(fb.g_k(2)[0], 0, 20), fb.g_k(2)[1]), "the graph and labels of g_k(2)"),
+        (lambda: (fb.g_k(2)[0], _moved_bx(fb.g_k(2)[1])), "the graph and labels of g_k(2)"),
+        # parts that fit g but a k whose g_k is larger: refused before g_k(3) is built
+        (
+            lambda: (fb.g_k(2)[0], dataclasses.replace(fb.g_k(2)[1], params={"k": 3, "t": 27})),
+            "got 32 vertices for g_k(3)",
+        ),
+    ],
+    ids=["hypercube-rows", "one-edge-toggled", "one-bx-changed", "k-too-large"],
+)
+def test_extend_refuses_anything_but_g_k(pair, message):
+    with pytest.raises(GraphError, match=re.escape(message)):
+        fb.extend_gk_to_abc(*pair())
 
 
 # ---------------------------------------------------------------- point-box incidence

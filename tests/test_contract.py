@@ -4,12 +4,20 @@ signatures and dataclass fields, and the CLI's subcommands and options.
 Dropping or renaming a name, keyword, default, field, subcommand, option or
 positional choice fails here, and so does adding one: the tables below are
 changed on purpose or not at all. Annotations are not pinned.
+
+The benchmark's per-layer metrics name functions too: each
+``<module>.<name>.calls`` in ``BENCHMARK.json`` must stay a function that
+``perfbench/tracer.py`` wraps, or the traced benchmark run stops on a metric
+it did not measure.
 """
 
 import argparse
 import ast
 import dataclasses
+import importlib
 import inspect
+import json
+from pathlib import Path
 
 import pytest
 
@@ -198,3 +206,26 @@ def test_cli_keeps_its_subcommands_options_and_choices():
         own, choices = CLI[name]
         assert options == ("-h", "--help", *own, "-o", "--output"), name
         assert positionals == choices, name
+
+
+def _traced_calls() -> list[str]:
+    """The ``<module>.<name>`` of every per-layer ``.calls`` metric."""
+    bench = json.loads((Path(__file__).parent.parent / "BENCHMARK.json").read_text())
+    return [m["name"][: -len(".calls")] for m in bench["per_layer"] if m["name"].endswith(".calls")]
+
+
+def test_benchmark_traces_some_functions():
+    assert "parameters.fun_graph" in _traced_calls()
+
+
+@pytest.mark.parametrize("name", _traced_calls())
+def test_benchmark_traced_name_is_a_public_function(name):
+    # the set perfbench/tracer.py wraps: public, non-generator functions
+    # defined in their module, plus Graph's constructor
+    if name == "graphs.Graph":
+        return
+    module, attr = name.split(".")
+    mod = importlib.import_module(f"funbox.{module}")
+    fn = getattr(mod, attr, None)
+    assert not attr.startswith("_") and inspect.isfunction(fn), name
+    assert fn.__module__ == mod.__name__ and not inspect.isgeneratorfunction(fn), name

@@ -7,7 +7,7 @@ import pytest
 import funbox as fb
 from funbox.campaigns import random_graph
 from funbox.graphs import GraphError, SizeLimitError
-from funbox.parameters import _arg_system
+from funbox.parameters import _arg_system, _low_bits_table
 from funbox.rng import SplitMix64
 
 from oracles import (
@@ -281,6 +281,20 @@ def test_pair_witness_arities():
 def test_pair_witness_refusals(g, x, y, mode, error, message):
     with pytest.raises(error, match=message):
         fb.pair_witness(g, x, y, mode)
+
+
+# (j, truth) of every table in use: copy args[0], negate it, AND args[0] and args[1]
+@pytest.mark.parametrize("j,truth", [(1, 0b10), (1, 0b01), (2, 0b1000)])
+def test_low_bits_table_repeats_its_truth_table(j, truth):
+    for k in range(j, 7):
+        table = _low_bits_table(k, j, truth)
+        assert table >> (1 << k) == 0
+        assert all(table >> m & 1 == truth >> (m % (1 << j)) & 1 for m in range(1 << k))
+
+
+def test_low_bits_table_refuses_an_arity_over_the_limit():
+    with pytest.raises(SizeLimitError, match=r"2\^25 entries \(limit 2\^24\)"):
+        _low_bits_table(25, 1, 0b10)
 
 
 def test_witness_json_round_trip():

@@ -8,7 +8,8 @@ edge definition on small random cliques and positions, and each generator
 against the edge-list build it replaced. The definitions, the m x m pair loop
 and the edge-list builds live on in ``oracles``. ``structure_scan`` and
 ``refute_function`` test K_{2,p}-freeness with bit-sliced common-neighbour
-counters, checked against the pair loop they replaced.
+counters, checked against the pair loop they replaced, and triangle-freeness
+with one AND per edge, checked against a loop over vertex triples.
 """
 
 import itertools
@@ -23,12 +24,13 @@ from funbox import graphs
 from funbox.campaigns import random_graph, random_permutation
 from funbox.constructions import _triple_rows
 from funbox.graphs import GraphError
-from funbox.parameters import _k2p_free
+from funbox.parameters import _k2p_free, _triangle_free
 from oracles import (
     edgelist_abc_graph,
     edgelist_extend_gk_to_abc,
     edgelist_g_k,
     naive_graph_error,
+    naive_triangle_free,
     naive_triple_rows,
     pairloop_k2p_free,
     pairloop_recover_half_graph_orders,
@@ -218,3 +220,31 @@ def test_k2p_counters_match_pair_loop_on_families(family):
     g, _ = family()
     for p in (2, 3, 4):
         assert _k2p_free(g.rows, p) == pairloop_k2p_free(g, p)
+
+
+@given(
+    st.integers(1, 30),
+    st.integers(1, 3),
+    st.sampled_from([4, 8, 16, 32]),
+    st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_triangle_scan_matches_triple_loop(n, p_num, p_den, seed):
+    g = random_graph(n, p_num, p_den, seed)
+    assert _triangle_free(g.rows) == naive_triangle_free(g)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        lambda: fb.point_box_incidence(4, 4),
+        lambda: fb.hypercube(4),
+        lambda: fb.g_k(2),
+        # a 6-cycle with one chord closing exactly one triangle, 0-1-2
+        lambda: (fb.from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 2)]),),
+    ],
+    ids=["H44", "Q4", "gk2", "one-triangle"],
+)
+def test_triangle_scan_matches_triple_loop_on_families(family):
+    g = family()[0]
+    assert _triangle_free(g.rows) == naive_triangle_free(g)
