@@ -35,10 +35,10 @@ from .constructions import (
     point_box_incidence,
 )
 from .geometry import (
+    _pointbox_plane,
     embed_pointbox_r3,
     realize_abc_unit_squares,
     realize_abc_intervals,
-    realize_pointbox_plane,
 )
 from .graphs import Graph, GraphError, _json_count, _json_int, _json_list, _json_object, mask_of
 from .intervals import (
@@ -285,10 +285,10 @@ def _instance_gk_sd(params: dict) -> tuple[dict, bool]:
 def _instance_hni(params: dict) -> tuple[dict, bool]:
     n, i = params["n"], params["i"]
     # both realizers raise RealizationError unless their boxes rebuild H^n_i
-    pts, bs, report = realize_pointbox_plane(n, i)
+    pts, bs, report, meta = _pointbox_plane(n, i)
     embed_pointbox_r3(pts, bs)
-    g = report.target_graph  # point ids first, then box ids
-    p_ids, box_ids = range(len(pts)), range(len(pts), g.n)
+    g = report.target_graph
+    p_ids, box_ids = meta.parts["P"], meta.parts["Box"]
     checks = {
         "p_count": len(p_ids) == n ** i,
         "box_count": len(box_ids) == i * n ** (i - 1),

@@ -139,7 +139,12 @@ def realize_pointbox_plane(
     y-coordinates without leaving any containing box. Coordinates live on a
     grid refined by a factor of 2n+2 per level so the shifts always fit.
     """
-    target, _meta = point_box_incidence(n, i)  # validates n, i
+    return _pointbox_plane(n, i)[:3]
+
+
+def _pointbox_plane(n: int, i: int):
+    """``realize_pointbox_plane``, plus the labels of the H^n_i it realized."""
+    target, meta = point_box_incidence(n, i)  # validates n, i
     s = 2 * n + 2
     step = [s ** (i - j) if j >= 1 else 0 for j in range(i + 1)]
     pts = [(1, (l + 1) * step[1]) for l in range(n)]
@@ -148,9 +153,7 @@ def realize_pointbox_plane(
         u = step[level]
         width = max(hi for (lo, hi), _ in boxes)
         dx = width + 2
-        new_pts = [
-            (x + c * dx, y + c * u) for c in range(n) for (x, y) in pts
-        ]
+        new_pts = [(x + c * dx, y + c * u) for c in range(n) for (x, y) in pts]
         new_boxes = [
             ((x0 + c * dx, x1 + c * dx), (y0, y1))
             for c in range(n)
@@ -161,13 +164,9 @@ def realize_pointbox_plane(
             new_boxes.append(((min(xs) - 1, max(xs) + 1), (y - u, y + n * u)))
         pts = new_pts
         boxes = new_boxes
-    bs = BoxSystem(
-        d=2,
-        scale_denominator=s ** (i - 1),
-        boxes=tuple(boxes),
-    )
+    bs = BoxSystem(d=2, scale_denominator=s ** (i - 1), boxes=tuple(boxes))
     report = _checked(target, incidence_graph(pts, bs), f"plane realization of H^{n}_{i}")
-    return tuple(pts), bs, report
+    return tuple(pts), bs, report, meta
 
 
 def embed_pointbox_r3(

@@ -13,10 +13,14 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).parent.parent
-_spec = importlib.util.spec_from_file_location("mutate", ROOT / "tools" / "mutate.py")
+_NAME = "funbox_tools_mutate"  # a name no other import in the process uses
+_spec = importlib.util.spec_from_file_location(_NAME, ROOT / "tools" / "mutate.py")
 mutate = importlib.util.module_from_spec(_spec)
-sys.modules["mutate"] = mutate  # dataclasses look their module up by name
-_spec.loader.exec_module(mutate)
+sys.modules[_NAME] = mutate  # dataclasses look their module up by name
+try:
+    _spec.loader.exec_module(mutate)
+finally:
+    del sys.modules[_NAME]
 
 
 def test_mutant_names_are_unique():

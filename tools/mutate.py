@@ -2,7 +2,7 @@
 
 Each mutant replaces one piece of text in one source file. The tool copies
 the checkout's ``src``, ``tests`` and ``pyproject.toml`` into a temporary
-directory once, checks that the chosen tests pass there unmutated, then for
+directory once, checks that the table's tests pass there unmutated, then for
 each mutant writes the mutated file, runs the mutant's test files with
 pytest (stopping at the first failure) and restores the file. It prints one
 line per mutant: killed or survived, the seconds the run took, and whether
@@ -10,18 +10,16 @@ that is the outcome the table expects.
 
 A mutant is expected to be killed unless its entry gives ``equivalent``, the
 reason no test that checks answers can tell it apart (say, a prune made
-weaker, which is sound but slower). A run that exceeds ``--timeout`` counts
-as killed.
+weaker, which is sound but slower). A test run that exceeds ``TIMEOUT_S``
+seconds (a mutant can make a search loop forever) counts as killed.
 
 Usage, from the root of the checkout (stdlib only; pytest must be
-installed):
+installed), running every mutant in the table:
 
-    python3 tools/mutate.py              # every mutant
-    python3 tools/mutate.py sd-floor-raised  # the named ones
-    python3 tools/mutate.py --list
+    python3 tools/mutate.py
 
 Exit status: 0 when every outcome is the expected one, 1 otherwise, 2 when
-the unmutated tests fail or a name or table entry is bad.
+the unmutated tests fail or a table entry is bad.
 
 When a change edits a kernel, add its mutants here; the tier-1 test
 ``tests/test_mutants.py`` checks that each entry's old text occurs exactly
@@ -30,7 +28,6 @@ once in its file, so the table cannot rot unnoticed.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -41,6 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
 
 PARAMETERS = "src/funbox/parameters.py"
 EXACT_TESTS = (
@@ -135,7 +133,7 @@ MUTANTS = (
 )
 
 
-def _pytest(workdir: Path, tests, timeout: float) -> tuple[int | None, float]:
+def _pytest(workdir: Path, tests) -> tuple[int | None, float]:
     """The exit code of pytest on ``tests`` (None on timeout) and its seconds."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     # no bytecode cache: a mutant of the same size, written within the second
@@ -145,45 +143,29 @@ def _pytest(workdir: Path, tests, timeout: float) -> tuple[int | None, float]:
     try:
         code = subprocess.run(
             cmd, cwd=workdir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            timeout=timeout,
+            timeout=TIMEOUT_S,
         ).returncode
     except subprocess.TimeoutExpired:
         code = None
     return code, time.perf_counter() - start
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
-    parser.add_argument("--timeout", type=float, default=600, help="seconds per test run")
-    args = parser.parse_args(argv)
-    by_name = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in by_name]
-    if unknown:
-        print(f"unknown mutant {unknown[0]!r}; see --list", file=sys.stderr)
-        return 2
-    chosen = [by_name[n] for n in args.names] or list(MUTANTS)
-    if args.list:
-        for m in chosen:
-            print(f"{m.name}: {m.file} ({'equivalent' if m.equivalent else 'killed'})")
-        return 0
-
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="funbox-mutate-") as tmp:
         work = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, work / name, ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
-        all_tests = sorted({t for m in chosen for t in m.tests})
-        code, seconds = _pytest(work, all_tests, args.timeout)
+        all_tests = sorted({t for m in MUTANTS for t in m.tests})
+        code, seconds = _pytest(work, all_tests)
         if code != 0:
             print(f"unmutated tests fail (pytest exit {code}); no mutant run", file=sys.stderr)
             return 2
         print(f"unmutated: {len(all_tests)} test files pass in {seconds:.1f} s")
 
         unexpected = 0
-        for m in chosen:
+        for m in MUTANTS:
             path = work / m.file
             source = path.read_text()
             if source.count(m.old) != 1:
@@ -191,7 +173,7 @@ def main(argv=None) -> int:
                 return 2
             path.write_text(source.replace(m.old, m.new))
             try:
-                code, seconds = _pytest(work, m.tests, args.timeout)
+                code, seconds = _pytest(work, m.tests)
             finally:
                 path.write_text(source)
             if code not in (None, 0, 1, 2):
@@ -203,7 +185,7 @@ def main(argv=None) -> int:
             note = "as expected" if outcome == expected else f"UNEXPECTED, expected {expected}"
             timeout = " (timeout)" if code is None else ""
             print(f"{m.name:32} {outcome:8} {seconds:6.1f} s  {note}{timeout}")
-        print(f"{len(chosen)} mutants, {unexpected} unexpected")
+        print(f"{len(MUTANTS)} mutants, {unexpected} unexpected")
         return 1 if unexpected else 0
 
 
