@@ -6,6 +6,8 @@ guard. ``realize`` exits 1 with one ``error:`` line when a model fails its
 own self-check (its rebuilt graph differs from the target). ``compute
 --max-n`` sets the size guard of ``fun-graph`` and ``sd-graph`` and is an
 error with any other target; no environment variable changes a guard.
+Likewise ``realize`` refuses a flag its kind does not read: ``-i`` with
+``pointbox-plane``, ``--n`` or ``--i`` with any other kind.
 """
 
 from __future__ import annotations
@@ -152,8 +154,15 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    if args.kind == "pointbox-plane":
-        pts, bs, _ = realize_pointbox_plane(args.n, args.i)
+    plane = args.kind == "pointbox-plane"
+    readers = "abc-units, abc-intervals and pointbox-r3" if plane else "pointbox-plane"
+    unread = {"-i/--input": args.input} if plane else {"--n": args.n, "--i": args.i}
+    for flag, value in unread.items():
+        if value is not None:
+            raise GraphError(f"{flag} applies to {readers}, not {args.kind}")
+    if plane:
+        n, i = (2 if args.n is None else args.n), (1 if args.i is None else args.i)
+        pts, bs, _ = realize_pointbox_plane(n, i)
         data = {"points": [list(p) for p in pts], "box_system": box_system_to_json(bs)}
     elif args.kind == "pointbox-r3":
         pb = _json_object(_load_json(args.input), "point-box JSON", ("points", "box_system"))
@@ -247,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["abc-units", "abc-intervals", "pointbox-plane", "pointbox-r3"],
     )
     real.add_argument("-i", "--input")
-    real.add_argument("--n", type=int, default=2)
-    real.add_argument("--i", type=int, dest="i", default=1)
+    real.add_argument("--n", type=int, help="pointbox-plane: n (default 2)")
+    real.add_argument("--i", type=int, dest="i", help="pointbox-plane: level i (default 1)")
     real.set_defaults(func=_cmd_realize)
 
     ver = sub.add_parser("verify", help="run a named verification campaign")

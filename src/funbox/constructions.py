@@ -6,14 +6,17 @@ structured form (part membership, order indices, grid coordinates).
 
 Every generator builds adjacency rows as masks; none goes through an edge
 list. The ABC-type families (three cliques joined by two half graphs:
-abc_graph, g_k, extend_gk_to_abc) share one row kernel, _triple_rows, and
-point_box_incidence builds its box rows level by level and takes the point
-rows as their columns. ``check_size`` bounds every family's vertices and
-edges from the closed forms in ``FAMILY_SIZES`` before anything is built.
+abc_graph, g_k, extend_gk_to_abc) share one labeled builder, _clique_triple,
+over one row kernel, _triple_rows; g_k's B is one coordinate grid, _gk_grid,
+whose rows, labels and B ranks extend_gk_to_abc also reads. point_box_incidence
+builds its box rows level by level and takes the point rows as their columns.
+``check_size`` bounds every family's vertices and edges from the closed forms
+in ``FAMILY_SIZES`` before anything is built.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -118,7 +121,7 @@ def _triple_rows(na: int, nc: int, xs: Sequence[int], ys: Sequence[int]) -> list
     Cross edges (1-based i, j): b_t ~ a_i iff i < xs[t], and b_t ~ c_j iff
     ys[t] < j; no A-C edges. B rows come from clique, prefix and suffix
     masks; A and C rows from one running OR over the B bits bucketed by x
-    and by y. Needs 1 <= xs[t] <= na and 1 <= ys[t] <= nc.
+    and by y. Needs 1 <= xs[t] <= na and 1 <= ys[t] <= nc; _clique_triple calls it.
     """
     nb = len(xs)
     a_clique, b_clique, c_clique = (1 << na) - 1, (1 << nb) - 1, (1 << nc) - 1
@@ -143,37 +146,48 @@ def _triple_rows(na: int, nc: int, xs: Sequence[int], ys: Sequence[int]) -> list
     return rows_a + rows_b + rows_c
 
 
+def _clique_triple(
+    family: str, n: int, xs: Sequence[int], ys: Sequence[int],
+    b_labels: Sequence[str], b_data: Sequence[dict], params: dict, **b_parts: tuple[int, ...],
+) -> tuple[list[int], dict[int, str], ConstructionLabels]:
+    """Rows, labels and ConstructionLabels of _triple_rows(n, n, xs, ys), without a Graph.
+
+    a_i and c_i are ``A:<i>`` and ``C:<i>``; b_t carries b_labels[t] and
+    b_data[t]. parts holds A, B in id order and C, then ``b_parts``: a "B"
+    there replaces B's ids in B's place, the others follow C.
+    """
+    c0 = n + len(xs)
+    labels, vertex_data = {}, {}
+    for i in range(1, n + 1):
+        labels[i - 1] = f"A:{i}"
+        labels[c0 + i - 1] = f"C:{i}"
+        vertex_data[i - 1] = {"part": "A", "index": i}
+        vertex_data[c0 + i - 1] = {"part": "C", "index": i}
+    for b, (label, data) in enumerate(zip(b_labels, b_data), n):
+        labels[b] = label
+        vertex_data[b] = data
+    parts = {"A": tuple(range(n)), "B": tuple(range(n, c0)), "C": tuple(range(c0, c0 + n))}
+    meta = ConstructionLabels(family, {**parts, **b_parts}, vertex_data, params)
+    return _triple_rows(n, n, xs, ys), labels, meta
+
+
 def _abc(xs: Sequence[int], ys: Sequence[int], params: dict) -> tuple[Graph, ConstructionLabels]:
-    """ABC graph on three n-cliques, n = len(xs), from _triple_rows(n, n, xs, ys).
+    """ABC graph on three n-cliques, n = len(xs), from _clique_triple.
 
     xs and ys are permutations of 1..n: b_t is ``B:<xs[t]>``, the xs[t]-th
     vertex of the A-side order (part ``B``) and the ys[t]-th of the C-side
     order (part ``B_by_c``).
     """
     n = len(xs)
-    labels = {}
-    vertex_data = {}
-    for i in range(1, n + 1):
-        labels[i - 1] = f"A:{i}"
-        labels[2 * n + i - 1] = f"C:{i}"
-        vertex_data[i - 1] = {"part": "A", "index": i}
-        vertex_data[2 * n + i - 1] = {"part": "C", "index": i}
-    for t, (x, y) in enumerate(zip(xs, ys)):
-        labels[n + t] = f"B:{x}"
-        vertex_data[n + t] = {"part": "B", "index": x, "c_side_index": y}
-    g = Graph(3 * n, _triple_rows(n, n, xs, ys), labels)
-    meta = ConstructionLabels(
-        family="abc",
-        parts={
-            "A": tuple(range(n)),
-            "B": tuple(n + t for t in sorted(range(n), key=xs.__getitem__)),
-            "C": tuple(range(2 * n, 3 * n)),
-            "B_by_c": tuple(n + t for t in sorted(range(n), key=ys.__getitem__)),
-        },
-        vertex_data=vertex_data,
-        params=params,
+    rows, labels, meta = _clique_triple(
+        "abc", n, xs, ys,
+        [f"B:{x}" for x in xs],
+        [{"part": "B", "index": x, "c_side_index": y} for x, y in zip(xs, ys)],
+        params,
+        B=tuple(n + t for t in sorted(range(n), key=xs.__getitem__)),
+        B_by_c=tuple(n + t for t in sorted(range(n), key=ys.__getitem__)),
     )
-    return g, meta
+    return Graph(3 * n, rows, labels), meta
 
 
 def abc_graph(n: int, perm: Sequence[int] | None = None) -> tuple[Graph, ConstructionLabels]:
@@ -191,6 +205,27 @@ def abc_graph(n: int, perm: Sequence[int] | None = None) -> tuple[Graph, Constru
     return _abc(range(1, n + 1), inv, {"n": n, "perm": perm})
 
 
+def _gk_grid(k: int) -> tuple[list[int], dict[int, str], ConstructionLabels, list[int], list[int]]:
+    """g_k's rows, labels and ConstructionLabels from _clique_triple, and B's ranks.
+
+    B is the coordinate grid of g_k's docstring, ids running over i, j, p, q.
+    Each bx occurs once per j, in id order, so b's 1-based place in the
+    B-order by (bx, id), its x-rank, is (bx-1)k + j; by (by, id) it is (by-1)k + i.
+    """
+    t, r = k**3, range(1, k + 1)
+    bxs, bys, x_ranks, y_ranks, b_data = [], [], [], [], []
+    for i, j, p, q in itertools.product(r, r, r, range(k)):
+        bx, by = p * k - q + (i - 1) * k * k, q * k + p + (j - 1) * k * k
+        bxs.append(bx)
+        bys.append(by)
+        x_ranks.append((bx - 1) * k + j)
+        y_ranks.append((by - 1) * k + i)
+        b_data.append({"part": "B", "bx": bx, "by": by, "block": (i, j), "pq": (p, q)})
+    b_labels = [f"B:{bx},{by}" for bx, by in zip(bxs, bys)]
+    params = {"k": k, "t": t}
+    return (*_clique_triple("gk", t, bxs, bys, b_labels, b_data, params), x_ranks, y_ranks)
+
+
 def g_k(k: int) -> tuple[Graph, ConstructionLabels]:
     """High-symmetric-difference clique triple: |A| = |C| = k^3, |B| = k^4.
 
@@ -201,37 +236,8 @@ def g_k(k: int) -> tuple[Graph, ConstructionLabels]:
     """
     if k < 2:
         raise GraphError("g_k needs k >= 2")
-    t = k ** 3
-    n = 2 * t + k ** 4
-    labels = {}
-    vertex_data = {}
-    for i in range(1, t + 1):
-        labels[i - 1] = f"A:{i}"
-        labels[n - t + i - 1] = f"C:{i}"
-        vertex_data[i - 1] = {"part": "A", "index": i}
-        vertex_data[n - t + i - 1] = {"part": "C", "index": i}
-    bxs, bys = [], []
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            for p in range(1, k + 1):
-                for q in range(k):
-                    bx = p * k - q + (i - 1) * k * k
-                    by = q * k + p + (j - 1) * k * k
-                    b = t + len(bxs)
-                    bxs.append(bx)
-                    bys.append(by)
-                    labels[b] = f"B:{bx},{by}"
-                    vertex_data[b] = {
-                        "part": "B", "bx": bx, "by": by, "block": (i, j), "pq": (p, q)
-                    }
-    g = Graph(n, _triple_rows(t, t, bxs, bys), labels)
-    meta = ConstructionLabels(
-        family="gk",
-        parts={"A": tuple(range(t)), "B": tuple(range(t, n - t)), "C": tuple(range(n - t, n))},
-        vertex_data=vertex_data,
-        params={"k": k, "t": t},
-    )
-    return g, meta
+    rows, labels, meta, _, _ = _gk_grid(k)
+    return Graph(len(rows), rows, labels), meta
 
 
 def extend_gk_to_abc(
@@ -243,41 +249,33 @@ def extend_gk_to_abc(
     vertices between consecutive originals, neighborhoods nested and growing
     one B-vertex per step); the A side mirrors this along the b_x order.
     The original graph re-appears as the induced subgraph on the embedded ids.
-    Precondition: ``(g, meta)`` is ``g_k(meta.params["k"])``; others are refused.
+    Precondition: ``(g, meta)`` is ``g_k(meta.params["k"])``, checked against
+    _gk_grid's rows and labels; others are refused. The grid's ranks give B's orders.
     """
     if meta.family != "gk":
         raise GraphError("extend_gk_to_abc needs g_k labels")
+    k = meta.params.get("k")
+    if type(k) is not int or k < 2 or not {"A", "B", "C"} <= meta.parts.keys():
+        raise GraphError("extend_gk_to_abc needs g_k labels: an integer k >= 2, parts A, B, C")
     parts = sum(len(meta.parts[p]) for p in "ABC")
     if g.n != parts:
         raise GraphError(
             f"extend_gk_to_abc got a graph on {g.n} vertices for labels on {parts}"
         )
-    k = meta.params["k"]
-    if g.n != 2 * k**3 + k**4:  # bounds the rebuild below by g's own size
+    if g.n != 2 * k**3 + k**4:  # bounds the grid below by g's own size
         raise GraphError(f"extend_gk_to_abc got {g.n} vertices for g_k({k})")
-    ref, ref_meta = g_k(k)
-    if g.rows != ref.rows or meta != ref_meta:
+    rows, _, ref_meta, x_ranks, y_ranks = _gk_grid(k)
+    if g.rows != tuple(rows) or meta != ref_meta:
         raise GraphError(f"extend_gk_to_abc needs the graph and labels of g_k({k}) unchanged")
-    big = k ** 4
-    old_b = meta.parts["B"]
-    by_x = sorted(old_b, key=lambda v: (meta.vertex_data[v]["bx"], v))
-    by_y = sorted(old_b, key=lambda v: (meta.vertex_data[v]["by"], v))
-
-    # new id layout: A' block 0..big-1 (in half-graph order), then B in the
-    # order of old_b, then C'; a'_r ~ b iff r < b's position in the bx-order,
-    # and b ~ c'_r iff b's position in the by-order < r
-    b_index = {old: idx for idx, old in enumerate(old_b)}
-    x_pos = [0] * big
-    y_pos = [0] * big
-    for pos, (ox, oy) in enumerate(zip(by_x, by_y), 1):
-        x_pos[b_index[ox]] = pos
-        y_pos[b_index[oy]] = pos
-    embed = {old: big + idx for old, idx in b_index.items()}
+    # new id layout: A' block 0..big-1 (in half-graph order), then B in id
+    # order, then C'; a'_r ~ b iff r < b's x-rank, and b ~ c'_r iff b's y-rank < r
+    big = k**4
+    embed = {b: big + idx for idx, b in enumerate(meta.parts["B"])}
     # original a_i occupies A'-position k*i; original c_j occupies C'-position k*(j-1)+1
     for i, (a, c) in enumerate(zip(meta.parts["A"], meta.parts["C"]), 1):
         embed[a] = k * i - 1
         embed[c] = 2 * big + k * (i - 1)
-    out, meta_out = _abc(x_pos, y_pos, {"n": big, "from_gk": k})
+    out, meta_out = _abc(x_ranks, y_ranks, {"n": big, "from_gk": k})
     return out, meta_out, embed
 
 

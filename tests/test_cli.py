@@ -252,6 +252,16 @@ def _nested_file(tmp_path):
     return str(path)
 
 
+def _abc_file(tmp_path):
+    return _json_file(tmp_path, "abc.json", fb.graph_to_json(fb.abc_graph(3)[0]))
+
+
+def _plane_file(tmp_path):
+    code = main(["realize", "pointbox-plane", "-o", str(tmp_path / "plane.json")])
+    assert code == 0
+    return str(tmp_path / "plane.json")
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [
@@ -307,6 +317,10 @@ def _nested_file(tmp_path):
             for name in _SIZED_CAMPAIGNS
         ),
         lambda t: ["verify", "gk-sd", "--sizes", "1,3"],
+        lambda t: ["realize", "pointbox-plane", "-i", str(t / "missing.json")],
+        lambda t: ["realize", "abc-units", "-i", _abc_file(t), "--n", "3"],
+        lambda t: ["realize", "abc-intervals", "-i", _abc_file(t), "--i", "2"],
+        lambda t: ["realize", "pointbox-r3", "-i", _plane_file(t), "--n", "2"],
     ],
     ids=[
         "fun-graph-over-guard",
@@ -358,6 +372,10 @@ def _nested_file(tmp_path):
         "sizes-empty-item",
         *(f"{name}-size-0" for name in _SIZED_CAMPAIGNS),
         "gk-sd-size-1",
+        "pointbox-plane-with-input",
+        "abc-units-with-n",
+        "abc-intervals-with-i",
+        "pointbox-r3-with-n",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, make_argv):
@@ -365,6 +383,20 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, make_argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_realize_names_a_flag_its_kind_does_not_read(tmp_path, capsys):
+    assert main(["realize", "pointbox-plane", "-i", str(tmp_path / "missing.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: -i/--input applies to abc-units, abc-intervals and pointbox-r3, "
+        "not pointbox-plane\n"
+    )
+    assert main(["realize", "abc-units", "-i", _abc_file(tmp_path), "--i", "1"]) == 2
+    assert capsys.readouterr().err == "error: --i applies to pointbox-plane, not abc-units\n"
+    # pointbox-plane reads n = 2 and i = 1 when they are not given
+    default = run_cli(capsys, "realize", "pointbox-plane")
+    assert default == run_cli(capsys, "realize", "pointbox-plane", "--n", "2", "--i", "1")
+    assert default[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,13 @@
 import dataclasses
 import itertools
+import os
 import re
 
 import pytest
 
 import funbox as fb
+from funbox import constructions
+from funbox.cli import main
 from funbox.constructions import FAMILY_SIZES, GEN_MAX_EDGES, abc_parts, check_size
 from funbox.graphs import GraphError, SizeLimitError
 
@@ -198,17 +201,52 @@ def _moved_bx(meta):
         (lambda: (fb.hypercube(5)[0], fb.g_k(2)[1]), "the graph and labels of g_k(2)"),
         (lambda: (_toggled(fb.g_k(2)[0], 0, 20), fb.g_k(2)[1]), "the graph and labels of g_k(2)"),
         (lambda: (fb.g_k(2)[0], _moved_bx(fb.g_k(2)[1])), "the graph and labels of g_k(2)"),
-        # parts that fit g but a k whose g_k is larger: refused before g_k(3) is built
+        # parts that fit g but a k whose g_k is larger: refused before its grid is built
         (
             lambda: (fb.g_k(2)[0], dataclasses.replace(fb.g_k(2)[1], params={"k": 3, "t": 27})),
             "got 32 vertices for g_k(3)",
         ),
+        # malformed labels: refused before their parts or k are used
+        *(
+            (
+                lambda change=change: (fb.g_k(2)[0], dataclasses.replace(fb.g_k(2)[1], **change)),
+                "needs g_k labels: an integer k >= 2, parts A, B, C",
+            )
+            for change in [
+                {"params": {"t": 8}},
+                {"params": {"k": "2", "t": 8}},
+                {"params": {"k": 2.0, "t": 8}},
+                {"params": {"k": True, "t": 8}},
+                {"parts": {p: ids for p, ids in fb.g_k(2)[1].parts.items() if p != "C"}},
+            ]
+        ),
     ],
-    ids=["hypercube-rows", "one-edge-toggled", "one-bx-changed", "k-too-large"],
+    ids=[
+        "hypercube-rows", "one-edge-toggled", "one-bx-changed", "k-too-large",
+        "k-missing", "k-a-string", "k-a-float", "k-a-bool", "parts-without-c",
+    ],
 )
 def test_extend_refuses_anything_but_g_k(pair, message):
     with pytest.raises(GraphError, match=re.escape(message)):
         fb.extend_gk_to_abc(*pair())
+
+
+def test_extend_builds_only_its_output_graph(monkeypatch):
+    calls = []
+    real = constructions.Graph
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(constructions, "Graph", counted)
+    pair = fb.g_k(3)
+    calls.clear()
+    fb.extend_gk_to_abc(*pair)
+    assert calls == [3 * 3**4]
+    calls.clear()
+    assert main(["gen", "gk-abc", "--k", "3", "-o", os.devnull]) == 0
+    assert calls == [2 * 3**3 + 3**4, 3 * 3**4]  # g_k(3), then its extension
 
 
 # ---------------------------------------------------------------- point-box incidence

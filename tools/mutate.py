@@ -48,6 +48,8 @@ EXACT_TESTS = (
     "tests/test_profile_classes.py",
 )
 TABLE_TESTS = ("tests/test_parameters.py", "tests/test_intervals.py")
+CONSTRUCTIONS = "src/funbox/constructions.py"
+TRIPLE_TESTS = ("tests/test_constructions.py", "tests/test_whole_rows.py")
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,34 @@ MUTANTS = (
         "    _check_arity(k)\n    return ((1 << (1 << k)) - 1)",
         "    return ((1 << (1 << k)) - 1)",
         TABLE_TESTS,
+    ),
+    Mutant(
+        "gk-grid-bx-plus-q", CONSTRUCTIONS,
+        "bx, by = p * k - q + (i - 1) * k * k",
+        "bx, by = p * k + q + (i - 1) * k * k",
+        TRIPLE_TESTS,
+    ),
+    Mutant(
+        "gk-x-rank-by-i", CONSTRUCTIONS,
+        "x_ranks.append((bx - 1) * k + j)", "x_ranks.append((bx - 1) * k + i)", TRIPLE_TESTS,
+    ),
+    Mutant(
+        "abc-b-by-c-sorted-by-xs", CONSTRUCTIONS,
+        "B_by_c=tuple(n + t for t in sorted(range(n), key=ys.__getitem__))",
+        "B_by_c=tuple(n + t for t in sorted(range(n), key=xs.__getitem__))",
+        TRIPLE_TESTS,
+    ),
+    Mutant(
+        "extend-ranks-swapped", CONSTRUCTIONS,
+        "_abc(x_ranks, y_ranks, ", "_abc(y_ranks, x_ranks, ", TRIPLE_TESTS,
+    ),
+    Mutant(
+        "extend-c-position-shifted", CONSTRUCTIONS,
+        "embed[c] = 2 * big + k * (i - 1)", "embed[c] = 2 * big + k * i", TRIPLE_TESTS,
+    ),
+    Mutant(
+        "extend-rows-unchecked", CONSTRUCTIONS,
+        "if g.rows != tuple(rows) or meta != ref_meta:", "if meta != ref_meta:", TRIPLE_TESTS,
     ),
 )
 
