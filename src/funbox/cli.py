@@ -6,8 +6,10 @@ guard. ``realize`` exits 1 with one ``error:`` line when a model fails its
 own self-check (its rebuilt graph differs from the target). ``compute
 --max-n`` sets the size guard of ``fun-graph`` and ``sd-graph`` and is an
 error with any other target; no environment variable changes a guard.
-Likewise ``realize`` refuses a flag its kind does not read: ``-i`` with
-``pointbox-plane``, ``--n`` or ``--i`` with any other kind.
+Likewise ``gen`` and ``realize`` refuse a flag their family or kind does not
+read: ``gen`` families read their ``FAMILY_SIZES`` parameters (abc also
+``--perm`` and ``--seed``); ``realize`` reads ``-i`` for every kind but
+``pointbox-plane``, which alone reads ``--n`` and ``--i``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .campaigns import (
     verify_campaign,
 )
 from .constructions import (
+    FAMILY_SIZES,
     abc_graph,
     abc_parts,
     check_size,
@@ -102,6 +105,17 @@ def _int_list(text: str) -> tuple[int, ...]:
         ) from None
 
 
+def _refuse_unread(kind: str, flags: dict) -> None:
+    """Refuse, naming it, the first flag that is given but that ``kind`` does
+    not read; ``flags`` maps each flag to its value and the kinds that read it."""
+    for flag, (value, readers) in flags.items():
+        if value is not None and kind not in readers:
+            listed = readers[0] if len(readers) == 1 else (
+                f"{', '.join(readers[:-1])} and {readers[-1]}"
+            )
+            raise GraphError(f"{flag} applies to {listed}, not {kind}")
+
+
 def _abc_perm(args):
     """abc's permutation: ``--perm``, else one drawn from ``--seed``, else None."""
     if args.perm is not None:
@@ -120,7 +134,27 @@ _GEN = {
 }
 
 
+def _gen_reads(family: str) -> tuple[str, ...]:
+    """The arguments ``gen family`` reads: its size parameters, and abc's permutation."""
+    return FAMILY_SIZES[family][0] + (("perm", "seed") if family == "abc" else ())
+
+
+# gen argument -> the families that read it, and its value when not given
+_GEN_READERS = {
+    name: tuple(f for f in _GEN if name in _gen_reads(f))
+    for name in ("n", "k", "i", "perm", "seed")
+}
+_GEN_DEFAULTS = {"n": 3, "k": 2, "i": 1}
+
+
 def _cmd_gen(args) -> int:
+    _refuse_unread(
+        args.family,
+        {f"--{name}": (getattr(args, name), readers) for name, readers in _GEN_READERS.items()},
+    )
+    for name, default in _GEN_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     check_size(args.family, args.n, args.k, args.i)
     _write(graph_to_json(_GEN[args.family](args)), args.output)
     return 0
@@ -154,13 +188,16 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    plane = args.kind == "pointbox-plane"
-    readers = "abc-units, abc-intervals and pointbox-r3" if plane else "pointbox-plane"
-    unread = {"-i/--input": args.input} if plane else {"--n": args.n, "--i": args.i}
-    for flag, value in unread.items():
-        if value is not None:
-            raise GraphError(f"{flag} applies to {readers}, not {args.kind}")
-    if plane:
+    plane = ("pointbox-plane",)
+    _refuse_unread(
+        args.kind,
+        {
+            "-i/--input": (args.input, ("abc-units", "abc-intervals", "pointbox-r3")),
+            "--n": (args.n, plane),
+            "--i": (args.i, plane),
+        },
+    )
+    if args.kind in plane:
         n, i = (2 if args.n is None else args.n), (1 if args.i is None else args.i)
         pts, bs, _ = realize_pointbox_plane(n, i)
         data = {"points": [list(p) for p in pts], "box_system": box_system_to_json(bs)}
@@ -227,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a named graph family")
     gen.add_argument("family", choices=list(_GEN))
-    gen.add_argument("--n", type=int, default=3)
-    gen.add_argument("--k", type=int, default=2)
-    gen.add_argument("--i", type=int, default=1)
+    gen.add_argument("--n", type=int, help="n (default 3)")
+    gen.add_argument("--k", type=int, help="k (default 2)")
+    gen.add_argument("--i", type=int, help="level i (default 1)")
     gen.add_argument(
         "--perm", type=_int_list, help="comma-separated permutation of 1..n (abc)"
     )

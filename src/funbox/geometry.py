@@ -8,9 +8,11 @@ same per-axis sort-and-mask kernel as interval graphs
 (``intervals._overlap_rows``); a point is the degenerate box with
 ``lo == hi`` on every axis. An incidence graph runs the kernel once, for the
 point rows, and takes the box rows as their columns (``graphs._columns``).
-Each realization operation rebuilds the graph from its own geometry and
-passes it, with the target graph, through one gate (``_checked``) that raises
-``RealizationError`` unless the two match exactly.
+Each realization operation rebuilds the adjacency rows of its own geometry
+(``intervals._intersection_rows`` or ``_incidence_rows``, no ``Graph``) and
+compares them with the rows of a validated target in one gate
+(``_require_equal``), which raises ``RealizationError`` unless the two match
+bit for bit. The public builders wrap the same rows in a validated ``Graph``.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from .graphs import (
     _json_list,
     _json_object,
     _json_pairs,
-    equal_labeled,
 )
-from .intervals import IntervalRep, _intersection_graph, _overlap_rows, graph_from_intervals
+from .intervals import IntervalRep, _intersection_graph, _intersection_rows, _overlap_rows
 from .parameters import check_abc_partition
 
 
@@ -69,6 +70,9 @@ class BoxSystem:
 
 @dataclass(frozen=True)
 class RealizationReport:
+    """A passed self-check. ``realized_graph`` is ``target_graph`` itself: the
+    gate has proved the model's rows equal the target's bit for bit."""
+
     target_graph: Graph
     realized_graph: Graph
     equal: bool
@@ -103,24 +107,37 @@ def graph_from_boxes(bs: BoxSystem) -> Graph:
     return _intersection_graph(bs.boxes, dict(bs.labels) if bs.labels else None)
 
 
-def incidence_graph(points: Sequence[tuple[int, int]], bs: BoxSystem) -> Graph:
-    """Bipartite containment graph: point ids first, then box ids."""
+def _incidence_rows(points: Sequence[tuple[int, int]], bs: BoxSystem) -> list[int]:
+    """Adjacency rows of the bipartite containment graph: point ids first,
+    then box ids."""
     for idx, pt in enumerate(points):
         if len(pt) != bs.d:
             raise GraphError(f"point {idx} has {len(pt)} coordinates, expected {bs.d}")
     np_ = len(points)
-    pt_boxes = [tuple((c, c) for c in pt) for pt in points]
-    pt_rows = _overlap_rows(pt_boxes, bs.boxes)
-    box_rows = _columns(pt_rows, len(bs.boxes))
-    return Graph(np_ + len(box_rows), [row << np_ for row in pt_rows] + box_rows)
+    pt_rows = _overlap_rows([tuple((c, c) for c in pt) for pt in points], bs.boxes)
+    return [row << np_ for row in pt_rows] + _columns(pt_rows, len(bs.boxes))
 
 
-def _checked(target: Graph, realized: Graph, model: str, unit=None) -> RealizationReport:
-    """The report of a ``model`` whose rebuilt graph ``realized`` equals
-    ``target`` bit for bit; any difference raises RealizationError."""
-    if not equal_labeled(realized, target):
+def incidence_graph(points: Sequence[tuple[int, int]], bs: BoxSystem) -> Graph:
+    """Bipartite containment graph: point ids first, then box ids."""
+    rows = _incidence_rows(points, bs)
+    return Graph(len(rows), rows)
+
+
+def _require_equal(rows, target_rows, model: str) -> None:
+    """Raise RealizationError unless ``model``'s rebuilt ``rows`` equal
+    ``target_rows`` bit for bit."""
+    if rows != target_rows:
         raise RealizationError(f"{model} does not reproduce its target graph")
-    return RealizationReport(target, realized, equal=True, unit=unit)
+
+
+def _checked(target: Graph, rows, model: str, unit=None) -> RealizationReport:
+    """The report of a ``model`` whose rebuilt adjacency ``rows`` equal the
+    validated ``target``'s; any difference raises RealizationError. The rows
+    are never wrapped in a second ``Graph``: once they equal ``target.rows``,
+    ``target`` is the realized graph."""
+    _require_equal(tuple(rows), target.rows, model)
+    return RealizationReport(target, target, equal=True, unit=unit)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +182,7 @@ def _pointbox_plane(n: int, i: int):
         pts = new_pts
         boxes = new_boxes
     bs = BoxSystem(d=2, scale_denominator=s ** (i - 1), boxes=tuple(boxes))
-    report = _checked(target, incidence_graph(pts, bs), f"plane realization of H^{n}_{i}")
+    report = _checked(target, _incidence_rows(pts, bs), f"plane realization of H^{n}_{i}")
     return tuple(pts), bs, report, meta
 
 
@@ -178,8 +195,9 @@ def embed_pointbox_r3(
     point becomes a thin full-height column of half-width 1 around its
     tripled coordinates. Integer inputs keep outside points at distance >= 3
     from box borders, so column/slab overlap happens exactly on containment.
-    The result's intersection graph is validated against the incidence graph
-    (points first, then boxes; no point-point or box-box edges).
+    The result's intersection rows are checked against the incidence rows
+    (points first, then boxes; no point-point or box-box edges); neither side
+    is built into a ``Graph``.
     """
     if bs.d != 2:
         raise GraphError("embedding expects a 2-dimensional box system")
@@ -194,7 +212,9 @@ def embed_pointbox_r3(
         z = 3 * idx
         out.append(((3 * x0, 3 * x1), (3 * y0, 3 * y1), (z, z + 1)))
     result = BoxSystem(d=3, scale_denominator=3 * bs.scale_denominator, boxes=tuple(out))
-    _checked(incidence_graph(points, bs), graph_from_boxes(result), "3D embedding")
+    _require_equal(
+        _intersection_rows(result.boxes), _incidence_rows(points, bs), "3D embedding"
+    )
     return result
 
 
@@ -231,7 +251,7 @@ def realize_abc_unit_squares(
         boxes=tuple(sq[v] for v in range(g.n)),
         labels=dict(g.labels) if g.labels else None,
     )
-    return bs, _checked(g, graph_from_boxes(bs), "unit-square model", unit=bs.is_unit())
+    return bs, _checked(g, _intersection_rows(bs.boxes), "unit-square model", unit=bs.is_unit())
 
 
 def realize_abc_intervals(
@@ -254,4 +274,4 @@ def realize_abc_intervals(
     for j, v in enumerate(abc.order_c, start=1):
         iv[v] = (q - 10 * j + 5, q + 10)
     rep = IntervalRep(intervals=tuple(iv[v] for v in range(g.n)))
-    return rep, _checked(g, graph_from_intervals(rep), "interval model")
+    return rep, _checked(g, _intersection_rows([(iv,) for iv in rep.intervals]), "interval model")

@@ -8,13 +8,15 @@ witness has at most 8 arguments and is re-validated against the graph.
 
 Every intersection graph in the package (intervals here, boxes and
 point-in-box incidences in ``geometry``) is built by one kernel,
-``_overlap_rows``. Intervals and box sides are closed, so touching counts as
-intersecting: two boxes meet iff ``lo_v <= hi_u`` and ``hi_v >= lo_u`` on
-every axis. Per axis, the kernel sorts the lo and the hi endpoints once and
-keeps prefix and suffix OR-masks over them, so each box's row is two bisects
-and two ANDs of bit masks per axis instead of a loop over all other boxes
-(the sort-based scheme of Zomorodian and Edelsbrunner, "Fast software for
-box intersections", 2002). All comparisons are exact integer comparisons.
+``_overlap_rows``; ``_intersection_rows`` gives its adjacency rows without
+building a ``Graph``, for the realizations' self-checks. Intervals and box
+sides are closed, so touching counts as intersecting: two boxes meet iff
+``lo_v <= hi_u`` and ``hi_v >= lo_u`` on every axis. Per axis, the kernel
+sorts the lo and the hi endpoints once and keeps prefix and suffix OR-masks
+over them, so each box's row is two bisects and two ANDs of bit masks per
+axis instead of a loop over all other boxes (the sort-based scheme of
+Zomorodian and Edelsbrunner, "Fast software for box intersections", 2002).
+All comparisons are exact integer comparisons.
 """
 
 from __future__ import annotations
@@ -115,10 +117,17 @@ def _overlap_rows(a_boxes, b_boxes) -> list[int]:
     return rows
 
 
+def _intersection_rows(boxes) -> list[int]:
+    """Adjacency rows of the closed ``boxes``' intersection graph: the
+    kernel's rows with the diagonal cleared."""
+    rows = _overlap_rows(boxes, boxes)
+    return [row & ~(1 << u) for u, row in enumerate(rows)]
+
+
 def _intersection_graph(boxes, labels=None) -> Graph:
     """Intersection graph of the closed ``boxes``, index-aligned."""
-    rows = _overlap_rows(boxes, boxes)
-    return Graph(len(rows), [row & ~(1 << u) for u, row in enumerate(rows)], labels)
+    rows = _intersection_rows(boxes)
+    return Graph(len(rows), rows, labels)
 
 
 def graph_from_intervals(rep: IntervalRep) -> Graph:

@@ -20,6 +20,9 @@ incidence family built from their edge lists, witness checks that compute
 each vertex's profile with a loop over the arguments, ``normalize``
 collecting the left and right ranks in two dicts, and
 ``find_low_fun_witness`` finding its case-2 block with nested scans.
+``graph_gate`` is the realizations' self-check as it was before it compared
+rows: the rebuilt model wrapped in a validated ``Graph`` and compared with
+the target graph.
 """
 
 from __future__ import annotations
@@ -29,7 +32,16 @@ from functools import reduce
 from operator import or_
 from typing import Iterable
 
-from funbox import ConstructionLabels, Graph, GraphError, from_edge_list, intervals
+from funbox import (
+    ConstructionLabels,
+    Graph,
+    GraphError,
+    RealizationError,
+    RealizationReport,
+    equal_labeled,
+    from_edge_list,
+    intervals,
+)
 from funbox.graphs import MAX_VERTICES as HNI_MAX_VERTICES, SizeLimitError, bit_ids, mask_of
 from funbox.intervals import PointRep, SdLemmaReport, manhattan
 from funbox.parameters import (
@@ -297,6 +309,14 @@ def naive_graph_from_boxes(bs) -> Graph:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
     return Graph(m, rows, dict(bs.labels) if bs.labels else None)
+
+
+def graph_gate(target: Graph, realized: Graph, model: str, unit=None) -> RealizationReport:
+    """The report of a ``model`` whose rebuilt graph ``realized`` equals
+    ``target`` bit for bit; any difference raises RealizationError."""
+    if not equal_labeled(realized, target):
+        raise RealizationError(f"{model} does not reproduce its target graph")
+    return RealizationReport(target, realized, equal=True, unit=unit)
 
 
 def naive_incidence_graph(points, bs) -> Graph:

@@ -321,6 +321,11 @@ def _plane_file(tmp_path):
         lambda t: ["realize", "abc-units", "-i", _abc_file(t), "--n", "3"],
         lambda t: ["realize", "abc-intervals", "-i", _abc_file(t), "--i", "2"],
         lambda t: ["realize", "pointbox-r3", "-i", _plane_file(t), "--n", "2"],
+        lambda t: ["gen", "abc", "--n", "3", "--k", "5", "-o", str(t / "g.json")],
+        lambda t: ["gen", "gk", "--n", "3"],
+        lambda t: ["gen", "half", "--i", "2"],
+        lambda t: ["gen", "hni", "--seed", "1"],
+        lambda t: ["gen", "hypercube", "--perm", "1"],
     ],
     ids=[
         "fun-graph-over-guard",
@@ -376,6 +381,11 @@ def _plane_file(tmp_path):
         "abc-units-with-n",
         "abc-intervals-with-i",
         "pointbox-r3-with-n",
+        "gen-abc-with-k",
+        "gen-gk-with-n",
+        "gen-half-with-i",
+        "gen-hni-with-seed",
+        "gen-hypercube-with-perm",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, make_argv):
@@ -396,6 +406,40 @@ def test_realize_names_a_flag_its_kind_does_not_read(tmp_path, capsys):
     # pointbox-plane reads n = 2 and i = 1 when they are not given
     default = run_cli(capsys, "realize", "pointbox-plane")
     assert default == run_cli(capsys, "realize", "pointbox-plane", "--n", "2", "--i", "1")
+    assert default[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["abc", "--n", "3", "--k", "5"], "--k applies to gk and gk-abc, not abc"),
+        (["gk", "--n", "3"], "--n applies to half, abc, hni and hypercube, not gk"),
+        (["gk-abc", "--i", "1"], "--i applies to hni, not gk-abc"),
+        (["hni", "--perm", "1"], "--perm applies to abc, not hni"),
+        (["half", "--seed", "3"], "--seed applies to abc, not half"),
+    ],
+)
+def test_gen_names_a_flag_its_family_does_not_read(tmp_path, capsys, argv, message):
+    out = tmp_path / "g.json"
+    assert main(["gen", *argv, "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "family, flags",
+    [
+        ("half", ["--n", "3"]),
+        ("abc", ["--n", "3"]),
+        ("gk", ["--k", "2"]),
+        ("gk-abc", ["--k", "2"]),
+        ("hni", ["--n", "3", "--i", "1"]),
+        ("hypercube", ["--n", "3"]),
+    ],
+)
+def test_gen_reads_n_3_k_2_and_i_1_when_they_are_not_given(capsys, family, flags):
+    default = run_cli(capsys, "gen", family)
+    assert default == run_cli(capsys, "gen", family, *flags)
     assert default[0] == 0
 
 
@@ -448,8 +492,8 @@ def test_interval_campaign_edge_cap_names_the_interval_model(capsys, campaign):
 def test_realize_failing_its_self_check_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     gpath = tmp_path / "abc.json"
     main(["gen", "abc", "--n", "4", "--seed", "3", "-o", str(gpath)])
-    build = geometry.graph_from_intervals
-    monkeypatch.setattr(geometry, "graph_from_intervals", lambda r: flip_first_pair(build(r)))
+    build = geometry._intersection_rows
+    monkeypatch.setattr(geometry, "_intersection_rows", lambda b: flip_first_pair(build(b)))
     code = main(["realize", "abc-intervals", "-i", str(gpath)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""

@@ -235,12 +235,12 @@ def test_abc_realize_rejects_non_abc_input():
 
 # ---------------------------------------------------------------- the self-check gate
 
-def flip_first_pair(g):
-    """``g`` with the adjacency of vertices 0 and 1 flipped, all else kept."""
-    rows = list(g.rows)
+def flip_first_pair(rows):
+    """``rows`` with the adjacency of vertices 0 and 1 flipped, all else kept."""
+    rows = list(rows)
     rows[0] ^= 0b10
     rows[1] ^= 0b01
-    return fb.Graph(g.n, rows, g.labels)
+    return rows
 
 
 def _abc_args():
@@ -248,12 +248,12 @@ def _abc_args():
     return g, meta.parts["A"], meta.parts["B"], meta.parts["C"]
 
 
-# (builder each realizer rebuilds its graph with, realizer, its arguments)
+# (builder each realizer rebuilds its rows with, realizer, its arguments)
 _GATED = [
-    ("incidence_graph", fb.realize_pointbox_plane, lambda: (2, 2)),
-    ("graph_from_boxes", fb.embed_pointbox_r3, lambda: fb.realize_pointbox_plane(2, 2)[:2]),
-    ("graph_from_boxes", fb.realize_abc_unit_squares, _abc_args),
-    ("graph_from_intervals", fb.realize_abc_intervals, _abc_args),
+    ("_incidence_rows", fb.realize_pointbox_plane, lambda: (2, 2)),
+    ("_intersection_rows", fb.embed_pointbox_r3, lambda: fb.realize_pointbox_plane(2, 2)[:2]),
+    ("_intersection_rows", fb.realize_abc_unit_squares, _abc_args),
+    ("_intersection_rows", fb.realize_abc_intervals, _abc_args),
 ]
 
 
@@ -267,3 +267,15 @@ def test_realization_with_one_edge_flipped_raises(monkeypatch, builder, realize,
     monkeypatch.setattr(geometry, builder, lambda *a: flip_first_pair(build(*a)))
     with pytest.raises(RealizationError, match="does not reproduce"):
         realize(*args)
+
+
+def test_gate_compares_every_row():
+    # a change to one row alone (here its diagonal bit) is not a graph, so
+    # only a gate that compares every row sees it
+    g, _ = fb.abc_graph(3)
+    assert geometry._checked(g, list(g.rows), "model").realized_graph is g
+    for v in range(g.n):
+        rows = list(g.rows)
+        rows[v] |= 1 << v
+        with pytest.raises(RealizationError, match="^model does not reproduce"):
+            geometry._checked(g, rows, "model")

@@ -1,7 +1,8 @@
 """Run a fixed table of hand-made mutants against the tests that should kill them.
 
 Each mutant replaces one piece of text in one source file. The tool copies
-the checkout's ``src``, ``tests`` and ``pyproject.toml`` into a temporary
+the checkout's ``src``, ``tests``, ``pyproject.toml`` and ``README.md`` (the
+CLI tests check the README against the parser) into a temporary
 directory once, checks that the table's tests pass there unmutated, then for
 each mutant writes the mutated file, runs the mutant's test files with
 pytest (stopping at the first failure) and restores the file. It prints one
@@ -50,6 +51,9 @@ EXACT_TESTS = (
 TABLE_TESTS = ("tests/test_parameters.py", "tests/test_intervals.py")
 CONSTRUCTIONS = "src/funbox/constructions.py"
 TRIPLE_TESTS = ("tests/test_constructions.py", "tests/test_whole_rows.py")
+GEOMETRY = "src/funbox/geometry.py"
+INTERVALS = "src/funbox/intervals.py"
+GATE_TESTS = ("tests/test_geometry.py", "tests/test_cli.py", "tests/test_realization_gate.py")
 
 
 @dataclass(frozen=True)
@@ -160,6 +164,25 @@ MUTANTS = (
         "extend-rows-unchecked", CONSTRUCTIONS,
         "if g.rows != tuple(rows) or meta != ref_meta:", "if meta != ref_meta:", TRIPLE_TESTS,
     ),
+    Mutant(
+        "gate-skips-row-0", GEOMETRY,
+        "    if rows != target_rows:\n", "    if rows[1:] != target_rows[1:]:\n", GATE_TESTS,
+    ),
+    Mutant(
+        "embed-gate-incidence-twice", GEOMETRY,
+        "_intersection_rows(result.boxes), _incidence_rows(points, bs),",
+        "_incidence_rows(points, bs), _incidence_rows(points, bs),",
+        GATE_TESTS,
+    ),
+    Mutant(
+        "intersection-rows-keep-diagonal", INTERVALS,
+        "    return [row & ~(1 << u) for u, row in enumerate(rows)]\n", "    return rows\n",
+        GATE_TESTS,
+    ),
+    Mutant(
+        "incidence-rows-unshifted", GEOMETRY,
+        "[row << np_ for row in pt_rows]", "list(pt_rows)", GATE_TESTS,
+    ),
 )
 
 
@@ -186,7 +209,8 @@ def main() -> int:
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, work / name, ignore=ignore)
-        shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy2(ROOT / name, work / name)
         all_tests = sorted({t for m in MUTANTS for t in m.tests})
         code, seconds = _pytest(work, all_tests)
         if code != 0:
